@@ -34,12 +34,17 @@ v = np.random.default_rng(44).standard_normal(X.n)
 vn = np.linalg.norm(v)
 
 
+# landmarks are nested prefixes of one permutation, so every rank used below
+# is a slice of one factor at the largest rank (pattern nnz <= n^2)
+full = nystrom_build(X, perm[: int(np.ceil(cost_equivalent_rank(100, X.n, X.n**2)))], cfg)
+
+
 def lr_errors(rank):
-    E = K - lowrank_dense(nystrom_build(X, perm[:rank], cfg))
+    E = K - lowrank_dense(full.prefix(rank))
     return float(np.abs(E).max()), float(np.linalg.norm(E @ v) / vn)
 
 
-base = nystrom_build(X, perm[:100], cfg)
+base = full.prefix(100)
 rows = []
 print(f"{'delta':>6} {'equiv rank':>10} {'LR max':>10} {'LRSP max':>10} {'LR 2-norm':>10} {'LRSP 2-norm':>11}")
 for mult in range(2, 11):

@@ -228,22 +228,26 @@ def _cmd_lrsp(args) -> int:
     t0 = time.time()
     X = generate_gaussian_cloud(args.n, args.d, args.seed)
     cfg = KernelConfig(sigma=args.sigma)
+    lo, hi, step = _parse_sweep(args.rank_sweep, "--rank-sweep")
+    ranks = [int(round(rank)) for rank in np.arange(lo, hi + 1e-9, step)]
+    # every rank is a prefix of one factor at the largest rank the run can
+    # ask for; a pattern has at most n^2 entries, which bounds matched ranks
+    k_max = max(ranks + [math.ceil(lrsp_mod.cost_equivalent_rank(args.r0, args.n, args.n**2))])
     perm = np.random.default_rng(args.seed + 1).permutation(args.n)
-    f0 = lrsp_mod.nystrom_build(X, perm[: args.r0], cfg)
+    full = lrsp_mod.nystrom_build(X, perm[: min(k_max, args.n)], cfg)
+    f0 = full.prefix(args.r0)
     K = kernel_matrix(X, X, cfg)
     v = np.random.default_rng(args.seed + 2).standard_normal(args.n)
     vn = np.linalg.norm(v)
 
     def lr_errors(rank: int) -> tuple[float, float]:
-        fac = lrsp_mod.nystrom_build(X, perm[:rank], cfg)
-        E = K - lrsp_mod.lowrank_dense(fac)
+        E = K - lrsp_mod.lowrank_dense(full.prefix(rank))
         return float(np.abs(E).max()), float(np.linalg.norm(E @ v) / vn)
 
     rows = []
-    lo, hi, step = _parse_sweep(args.rank_sweep, "--rank-sweep")
-    for rank in np.arange(lo, hi + 1e-9, step):
-        m, two = lr_errors(int(round(rank)))
-        rows.append((float(round(rank)), m, math.nan, two, math.nan))
+    for rank in ranks:
+        m, two = lr_errors(rank)
+        rows.append((float(rank), m, math.nan, two, math.nan))
 
     lo, hi, step = _parse_sweep(args.delta_sweep, "--delta-sweep")
     lr_cache: dict[int, tuple[float, float]] = {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateDataError, FormatError
 
@@ -16,6 +17,8 @@ PRESETS = {
     "uniform1d": (0.02, 0.26, 0.5, 0.74, 0.98),
     "nonuniform1d": (0.02, 0.12, 0.22, 0.6, 0.98),
 }
+
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,20 @@ def dist_to_set(x, S: PointSet) -> tuple[float, int]:
     dists = np.linalg.norm(S.coords - p, axis=1)
     i = int(np.argmin(dists))
     return float(dists[i]), i
+
+
+def radius_pairs(X: PointSet, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(rows, cols)`` with ||x_i - x_j|| <= delta, diagonal
+    included, sorted by row and then column; a brute-force scan over
+    ``_CHUNK``-row ``cdist`` blocks."""
+    if not delta >= 0:
+        raise ValueError("delta must be a nonnegative number")
+    rows, cols = [], []
+    for lo in range(0, X.n, _CHUNK):
+        r, c = np.nonzero(cdist(X.coords[lo: lo + _CHUNK], X.coords) <= delta)
+        rows.append(r + lo)
+        cols.append(c)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def preset_observations(name: str) -> PointSet:
@@ -148,8 +165,6 @@ def bandwidth_percentile(X: PointSet, q: float) -> float:
         raise ValueError("need at least two points")
     if not 0 < q < 100:
         raise ValueError("percentile must lie strictly between 0 and 100")
-    from scipy.spatial.distance import pdist
-
     d = np.sort(pdist(X.coords))
     rank = int(np.ceil(q / 100.0 * d.size))
     rank = min(max(rank, 1), d.size)

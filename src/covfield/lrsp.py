@@ -17,26 +17,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist
 
-from .geometry import PointSet
+from .geometry import PointSet, radius_pairs
 from .kernel import KernelConfig, kernel_matrix
 from .posterior import fit
 
-_CHUNK = 256
+_BLOCK = 256   # pattern rows per kernel block in sparse_correction
 
 
 @dataclass(frozen=True)
 class NystromFactor:
-    """Landmark indices into X and the factor W with W^T W ~= K_XX."""
+    """Landmark indices into X and the factor W with W^T W ~= K_XX.
+
+    Landmarks are nested: since L is lower triangular, the first k rows of
+    W = L^{-1} K_SX depend only on the first k landmarks, so ``prefix(k)`` is
+    the rank-k factor without refactoring.  A prefix carries the jitter of
+    the factor it was cut from, which may differ from the jitter a rank-k
+    build would choose.
+    """
 
     landmark_indices: np.ndarray
     W: np.ndarray = field(repr=False)   # r0 x n
+    jitter_used: float = 0.0
 
     @property
     def rank(self) -> int:
         return self.W.shape[0]
+
+    def prefix(self, k: int) -> NystromFactor:
+        """The factor on the first k landmarks; k above ``rank`` gives the
+        whole factor, as a slice does."""
+        if k < 1:
+            raise ValueError(f"prefix rank must be >= 1, got {k}")
+        return NystromFactor(self.landmark_indices[:k], self.W[:k], self.jitter_used)
 
 
 def nystrom_build(X: PointSet, landmark_indices, cfg: KernelConfig) -> NystromFactor:
@@ -47,10 +60,8 @@ def nystrom_build(X: PointSet, landmark_indices, cfg: KernelConfig) -> NystromFa
         raise ValueError("landmark indices must be a 1-d list of distinct indices")
     if idx.min() < 0 or idx.max() >= X.n:
         raise ValueError("landmark index out of range")
-    S = PointSet(X.coords[idx])
-    model = fit(S, cfg)
-    W = solve_triangular(model.chol, kernel_matrix(S, X, cfg), lower=True)
-    return NystromFactor(landmark_indices=idx, W=W)
+    model = fit(PointSet(X.coords[idx]), cfg)
+    return NystromFactor(idx, model.whitened_cross(X), model.jitter_used)
 
 
 def lowrank_dense(factor: NystromFactor) -> np.ndarray:
@@ -60,25 +71,11 @@ def lowrank_dense(factor: NystromFactor) -> np.ndarray:
 
 def pattern_by_radius(X: PointSet, delta: float) -> sp.csr_matrix:
     """Boolean symmetric pattern {(i, j): ||x_i - x_j|| <= delta}; the
-    diagonal is always included.  Built by chunked brute-force scans."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    n = X.n
-    rows, cols = [], []
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        d = cdist(X.coords[lo:hi], X.coords)
-        r, c = np.nonzero(d <= delta)
-        rows.append(r + lo)
-        cols.append(c)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    pat = sp.csr_matrix(
-        (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n)
+    diagonal is always included."""
+    rows, cols = radius_pairs(X, delta)
+    return sp.csr_matrix(
+        (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(X.n, X.n)
     )
-    pat.setdiag(True)
-    pat.sort_indices()
-    return pat
 
 
 def sparse_correction(
@@ -87,32 +84,30 @@ def sparse_correction(
     """Residual entries kernel(x_i, x_j) - (W^T W)_ij on the (symmetric)
     pattern only.
 
-    One W-column dot product per stored upper-triangle entry, mirrored so the
-    stored values are bitwise symmetric; the dense residual is never formed
-    here (only test oracles do that).
+    The upper-triangle entries are gathered from dense residual blocks of
+    ``_BLOCK`` rows, then mirrored so the stored values are bitwise
+    symmetric; the full n x n residual is never formed here (only test
+    oracles do that).
     """
-    pat = pattern.tocsr()
-    pat.sort_indices()
+    upper = sp.triu(pattern, format="csr")
     n = X.n
     W = factor.W
-    rows_out, cols_out, vals_out = [], [], []
-    indptr, indices = pat.indptr, pat.indices
-    for i in range(n):
-        J = indices[indptr[i]: indptr[i + 1]]
-        J = J[J >= i]
-        if len(J) == 0:
-            continue
-        krow = kernel_matrix(PointSet(X.coords[i][None, :]), PointSet(X.coords[J]), cfg)[0]
-        vals = krow - W[:, i] @ W[:, J]
-        rows_out.append(np.full(len(J), i))
-        cols_out.append(J)
-        vals_out.append(vals)
-        off = J > i
-        rows_out.append(J[off])
-        cols_out.append(np.full(int(off.sum()), i))
-        vals_out.append(vals[off])
+    rows = np.repeat(np.arange(n), np.diff(upper.indptr))
+    cols = upper.indices
+    vals = np.empty(len(cols))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        a, b = upper.indptr[lo], upper.indptr[hi]
+        # upper-triangle entries of rows lo:hi lie in columns lo:
+        R = kernel_matrix(PointSet(X.coords[lo:hi]), PointSet(X.coords[lo:]), cfg)
+        R -= W[:, lo:hi].T @ W[:, lo:]
+        vals[a:b] = R[rows[a:b] - lo, cols[a:b] - lo]
+    off = rows != cols
     out = sp.csr_matrix(
-        (np.concatenate(vals_out), (np.concatenate(rows_out), np.concatenate(cols_out))),
+        (
+            np.concatenate([vals, vals[off]]),
+            (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])),
+        ),
         shape=(n, n),
     )
     out.sort_indices()

@@ -89,13 +89,16 @@ class PosteriorModel:
         k_xs = kernel_matrix(PointSet(px[None, :]), self.S, self.cfg)[0]
         return kernel_eval(px, py, self.cfg) - float(k_xs @ w)
 
+    def whitened_cross(self, X: PointSet) -> np.ndarray:
+        """The whitened cross-kernel A_X = L^{-1} K_SX (r x |X|), L = ``chol``,
+        so that R(X, Y) = K_XY - A_X^T A_Y."""
+        return solve_triangular(self.chol, kernel_matrix(self.S, X, self.cfg), lower=True)
+
     def cov_matrix(self, X: PointSet, Y: PointSet) -> np.ndarray:
         """Posterior covariance matrix R(X, Y); symmetrized when X equals Y."""
         same = X is Y or (X.n == Y.n and np.array_equal(X.coords, Y.coords))
-        A = solve_triangular(self.chol, kernel_matrix(self.S, X, self.cfg), lower=True)
-        B = A if same else solve_triangular(
-            self.chol, kernel_matrix(self.S, Y, self.cfg), lower=True
-        )
+        A = self.whitened_cross(X)
+        B = A if same else self.whitened_cross(Y)
         R = kernel_matrix(X, Y, self.cfg) - A.T @ B
         if same:
             R = 0.5 * (R + R.T)
@@ -124,11 +127,13 @@ def fit(S: PointSet, cfg: KernelConfig) -> PosteriorModel:
     """Factor K_SS + tau^2 I (jitter ladder 1e-12*beta .. 1e-6*beta on
     failure) and return the evaluation handle.
 
-    Raises ValueError for duplicate observation points and
-    IllConditionedKernelError when the ladder is exhausted.
+    Repeated observation points are allowed when tau > 0, since
+    K_SS + tau^2 I is then positive definite; with tau = 0 they make K_SS
+    singular and raise ValueError.  Raises IllConditionedKernelError when
+    the ladder is exhausted.
     """
-    if np.unique(S.coords, axis=0).shape[0] != S.n:
-        raise ValueError("observation points must be pairwise distinct")
+    if cfg.tau == 0.0 and np.unique(S.coords, axis=0).shape[0] != S.n:
+        raise ValueError("observation points must be pairwise distinct when tau = 0")
     K = kernel_matrix(S, S, cfg)
     if cfg.tau > 0:
         K = K + cfg.tau**2 * np.eye(S.n)

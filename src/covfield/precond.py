@@ -26,14 +26,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.sparse.linalg import spsolve_triangular
-from scipy.spatial.distance import cdist
 
 from .errors import DivergenceError, IllConditionedKernelError
-from .geometry import PointSet
+from .geometry import PointSet, radius_pairs
 from .kernel import KernelConfig, kernel_matrix
-from .posterior import JITTER_LADDER
-
-_CHUNK = 512
+from .posterior import JITTER_LADDER, fit
 
 
 class SchurComplement:
@@ -42,20 +39,16 @@ class SchurComplement:
     ``entry``/``block`` return the noise-free Schur values, which coincide
     with the posterior covariance field on T conditioned on S;
     ``block(J, include_noise=True)`` adds tau^2 to the diagonal, giving the
-    Schur complement of the regularized system.
+    Schur complement of the regularized system.  ``L``, ``jitter_used`` and
+    ``W = L^{-1} K_ST`` come from the posterior model ``fit(S, cfg)``.
     """
 
-    def __init__(self, S: PointSet, T: PointSet, cfg: KernelConfig, jitter_scale=None):
+    def __init__(self, S: PointSet, T: PointSet, cfg: KernelConfig):
         self.T = T
         self.cfg = cfg
-        K_SS = kernel_matrix(S, S, cfg)
-        if cfg.tau > 0:
-            K_SS = K_SS + cfg.tau**2 * np.eye(S.n)
-        scale = cfg.beta if jitter_scale is None else jitter_scale
-        from .posterior import jittered_cholesky
-
-        self.L, self.jitter_used = jittered_cholesky(K_SS, scale)
-        self.W = solve_triangular(self.L, kernel_matrix(S, T, cfg), lower=True)
+        model = fit(S, cfg)
+        self.L, self.jitter_used = model.chol, model.jitter_used
+        self.W = model.whitened_cross(T)
 
     def entry(self, i: int, j: int) -> float:
         k = kernel_matrix(
@@ -77,19 +70,9 @@ class SchurComplement:
 def geometric_pattern(T: PointSet, delta: float) -> list[np.ndarray]:
     """Per-row sorted column sets {j <= i : ||t_i - t_j|| <= delta}; the
     diagonal is always present."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    n = T.n
-    rows: list[np.ndarray] = []
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        d = cdist(T.coords[lo:hi], T.coords[:hi])
-        for i in range(lo, hi):
-            J = np.flatnonzero(d[i - lo, : i + 1] <= delta)
-            if len(J) == 0 or J[-1] != i:
-                J = np.append(J, i)
-            rows.append(J)
-    return rows
+    rows, cols = radius_pairs(T, delta)
+    lower = cols <= rows
+    return np.split(cols[lower], np.cumsum(np.bincount(rows[lower], minlength=T.n))[:-1])
 
 
 def random_pattern(nT: int, cap_fraction: float, seed: int) -> list[np.ndarray]:
@@ -124,20 +107,17 @@ def fsai_build(block_fn, pattern: list[np.ndarray]) -> sp.csr_matrix:
     data: list[float] = []
     indices: list[int] = []
     indptr = [0]
-    eye_cache: dict[int, np.ndarray] = {}
     for i, J in enumerate(pattern):
         if len(J) == 0 or J[-1] != i or np.any(J[:-1] >= i) or np.any(np.diff(J) <= 0):
             raise ValueError(f"pattern row {i} is not sorted lower-triangular with diagonal")
         B = block_fn(J)
         m = len(J)
-        if m not in eye_cache:
-            eye_cache[m] = np.eye(m)
         scale = float(np.mean(np.diag(B)))
         scale = scale if scale > 0 else 1.0
         g = None
         for j in JITTER_LADDER:
             try:
-                c = cholesky(B + (j * scale) * eye_cache[m] if j else B, lower=True)
+                c = cholesky(B + (j * scale) * np.eye(m) if j else B, lower=True)
             except np.linalg.LinAlgError:
                 continue
             e = np.zeros(m)

@@ -162,3 +162,14 @@ class TestPrecondCommand:
         method3 = rows[2]
         assert int(method3[1]) <= 50
         assert float(method3[3]) <= 1e-5
+
+    def test_precond_on_repeated_rows(self, tmp_path):
+        # tau > 0 makes the landmark block SPD even when landmarks repeat
+        data = tmp_path / "dup.csv"
+        X = np.random.default_rng(0).standard_normal((300, 3))
+        np.savetxt(data, np.repeat(X, 2, axis=0), delimiter=",")
+        out = tmp_path / "p.csv"
+        assert run(["precond", "--data", str(data), "--maxit", "200",
+                    "--out", str(out), "--no-timestamp"]) == 0
+        _, rows = read_csv(out)
+        assert float(rows[2][3]) <= 1e-5

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from covfield import (
     KernelConfig,
@@ -8,6 +9,7 @@ from covfield import (
     error_max_norm,
     error_two_norm_randomized,
     generate_gaussian_cloud,
+    geometric_pattern,
     kernel_eval,
     kernel_matrix,
     lowrank_dense,
@@ -84,6 +86,20 @@ class TestNystrom:
         rel = np.linalg.norm(lowrank_dense(fac) - want) / np.linalg.norm(want)
         assert rel <= 1e-10
 
+    def test_prefix_matches_rebuild(self):
+        X = generate_gaussian_cloud(200, 2, 12)
+        cfg = KernelConfig(sigma=0.6)
+        perm = np.random.default_rng(13).permutation(X.n)
+        full = nystrom_build(X, perm[:60], cfg)
+        for k in (1, 10, 35, 60):
+            pre = full.prefix(k)
+            fac = nystrom_build(X, perm[:k], cfg)
+            np.testing.assert_array_equal(pre.landmark_indices, fac.landmark_indices)
+            assert np.abs(pre.W - fac.W).max() <= 1e-9
+            assert pre.jitter_used == full.jitter_used
+        with pytest.raises(ValueError):
+            full.prefix(0)
+
     def test_bad_landmarks(self, cloud, cloud_cfg):
         with pytest.raises(ValueError):
             nystrom_build(cloud, [1, 1, 2], cloud_cfg)
@@ -114,6 +130,17 @@ class TestPattern:
         pat = pattern_by_radius(X, 0.8)
         assert (pat != pat.T).nnz == 0
 
+    def test_lower_triangle_is_geometric_pattern(self):
+        T = generate_gaussian_cloud(600, 3, 4)
+        for delta in (0.0, 0.3, 0.8, 1e9):
+            lower = sp.tril(pattern_by_radius(T, delta), format="csr")
+            rows = geometric_pattern(T, delta)
+            assert len(rows) == T.n
+            for i, J in enumerate(rows):
+                np.testing.assert_array_equal(
+                    lower.indices[lower.indptr[i]: lower.indptr[i + 1]], J
+                )
+
 
 class TestSparseCorrection:
     def test_zero_rows_at_landmarks(self, cloud, cloud_cfg, cloud_factor):
@@ -135,15 +162,13 @@ class TestSparseCorrection:
     def test_entry_spot_check(self, cloud, cloud_cfg, cloud_factor):
         pat = pattern_by_radius(cloud, 1.0)
         corr = sparse_correction(cloud, cloud_factor, pat, cloud_cfg).tocoo()
+        assert corr.nnz == pat.nnz
         dense_lr = lowrank_dense(cloud_factor)
-        rng = np.random.default_rng(9)
-        picks = rng.choice(corr.nnz, 100, replace=False)
-        for t in picks:
-            i, j, v = corr.row[t], corr.col[t], corr.data[t]
-            want = (
-                kernel_eval(cloud.coords[i], cloud.coords[j], cloud_cfg) - dense_lr[i, j]
-            )
-            assert v == pytest.approx(want, abs=1e-12)
+        X = cloud.coords
+        want = np.array([
+            kernel_eval(X[i], X[j], cloud_cfg) for i, j in zip(corr.row, corr.col)
+        ]) - dense_lr[corr.row, corr.col]
+        np.testing.assert_allclose(corr.data, want, rtol=0, atol=1e-12)
 
     def test_values_symmetric(self):
         X = generate_gaussian_cloud(50, 2, 6)

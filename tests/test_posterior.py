@@ -48,6 +48,14 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(PointSet(np.array([[0.1], [0.1], [0.4]])), KernelConfig(sigma=0.2))
 
+    def test_duplicate_points_with_noise(self):
+        # K_SS + tau^2 I is SPD even with repeated points
+        S = PointSet(np.array([[0.1], [0.1], [0.4], [0.7], [0.7]]))
+        cfg = KernelConfig(sigma=0.2, tau=0.05)
+        X = unit_grid(21)
+        want = dense_posterior_oracle(S, X, X, cfg)
+        assert np.abs(fit(S, cfg).cov_matrix(X, X) - want).max() <= 1e-10
+
     def test_ladder_exhaustion(self):
         # an indefinite block stays indefinite at the largest ladder jitter
         from covfield.posterior import jittered_cholesky
