@@ -33,22 +33,30 @@ def _sq(t: float) -> float:
     return t * t
 
 
-def _branch_correction(model: PosteriorModel, x, y) -> float:
-    """beta * sqrt(r) * min over the two symmetric branches of
-    exp(-rho_hat^2) * ||w(other point)||_2."""
+def _point_terms(model: PosteriorModel, x) -> tuple[np.ndarray, float, float]:
+    """The coerced point, dist(x, S) and ||w(x)||_2 (``sqrt(w @ w)``, the
+    expression ``np.linalg.norm`` evaluates for a 1-d array)."""
+    p = as_point(x, model.S.d)
+    w = model.cross_weights(p)
+    return p, dist_to_set(p, model.S)[0], math.sqrt(float(w @ w))
+
+
+def _branch_terms(model: PosteriorModel, x, y) -> tuple[float, float]:
+    """kernel(x, y) and the correction beta * sqrt(r) * min over the two
+    symmetric branches of exp(-rho_hat^2) * ||w(other point)||_2."""
     s2 = math.sqrt(2.0) * model.cfg.sigma
-    rx = dist_to_set(x, model.S)[0] / s2
-    ry = dist_to_set(y, model.S)[0] / s2
-    wx = float(np.linalg.norm(model.cross_weights(x)))
-    wy = float(np.linalg.norm(model.cross_weights(y)))
-    branch_x = math.exp(-_sq(rx)) * wy   # rho_hat from x, weights at y
-    branch_y = math.exp(-_sq(ry)) * wx
-    return model.cfg.beta * math.sqrt(model.r) * min(branch_x, branch_y)
+    px, dx, wx = _point_terms(model, x)
+    py, dy, wy = _point_terms(model, y)
+    branch_x = math.exp(-_sq(dx / s2)) * wy   # rho_hat from x, weights at y
+    branch_y = math.exp(-_sq(dy / s2)) * wx
+    correction = model.cfg.beta * math.sqrt(model.r) * min(branch_x, branch_y)
+    return kernel_eval(px, py, model.cfg), correction
 
 
 def upper_bound_small(model: PosteriorModel, x, y) -> float:
     """Small-bandwidth upper bound: kernel(x,y) + correction term."""
-    return kernel_eval(x, y, model.cfg) + _branch_correction(model, x, y)
+    k, correction = _branch_terms(model, x, y)
+    return k + correction
 
 
 def lower_bound_small(model: PosteriorModel, x, y) -> float:
@@ -57,7 +65,8 @@ def lower_bound_small(model: PosteriorModel, x, y) -> float:
     May be negative (vacuous); returned raw so the inequality can be checked
     literally.
     """
-    return kernel_eval(x, y, model.cfg) - _branch_correction(model, x, y)
+    k, correction = _branch_terms(model, x, y)
+    return k - correction
 
 
 def variance_lower_bound(model: PosteriorModel, x, max_weight_norm: float) -> float:
@@ -78,10 +87,8 @@ def upper_bound_large(model: PosteriorModel, x, y) -> float:
     cfg = model.cfg
     se = cfg.sigma * math.sqrt(math.e)
     sr = math.sqrt(model.r)
-    dx = dist_to_set(x, model.S)[0]
-    dy = dist_to_set(y, model.S)[0]
-    wx = float(np.linalg.norm(model.cross_weights(x)))
-    wy = float(np.linalg.norm(model.cross_weights(y)))
+    _, dx, wx = _point_terms(model, x)
+    _, dy, wy = _point_terms(model, y)
     return cfg.beta * min((1.0 + sr * wy) * dx / se, (1.0 + sr * wx) * dy / se)
 
 
@@ -127,17 +134,13 @@ def estimate_curve(
         raise ValueError("condition region contains no grid points")
 
     if kind == "distance":
-        curve = np.array([dist_to_set(p, model.S)[0] for p in grid.coords])
+        # per grid point: norm of each difference to S, then the min, as in dist_to_set
+        curve = np.linalg.norm(grid.coords[:, None, :] - model.S.coords, axis=2).min(axis=1)
     else:
         kern = kernel_matrix(grid, PointSet(ys[None, :]), cfg)[:, 0]
-        s2 = math.sqrt(2.0) * cfg.sigma
-        rho_hat = dist_to_set(ys, model.S)[0] / s2
-        tail = (
-            cfg.beta
-            * math.sqrt(model.r)
-            * math.exp(-_sq(rho_hat))
-            * float(np.linalg.norm(model.cross_weights(ys)))
-        )
+        _, dy, wy = _point_terms(model, ys)
+        rho_hat = dy / (math.sqrt(2.0) * cfg.sigma)
+        tail = cfg.beta * math.sqrt(model.r) * math.exp(-_sq(rho_hat)) * wy
         curve = kern + tail if kind == "upper" else kern - tail
 
     exact = np.abs(model.cov_matrix(grid, PointSet(ys[None, :]))[:, 0])

@@ -46,6 +46,8 @@ DISK_RADIUS = 0.4
 
 
 def _fmt(v) -> str:
+    if type(v) is float:
+        return f"{v:.17g}"
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)):
@@ -60,7 +62,7 @@ def _write_csv(path, header, rows, timestamp: bool) -> int:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
             n += 1
     return n
 
@@ -90,8 +92,10 @@ def _cmd_field(args) -> int:
     model = fit(S, KernelConfig(sigma=args.sigma, tau=args.tau))
     g = _unit_grid(args.grid)
     R = np.abs(model.cov_matrix(g, g))
-    xs = g.coords[:, 0]
-    rows = ((xs[i], xs[j], R[i, j]) for i in range(args.grid) for j in range(args.grid))
+    xs = g.coords[:, 0].tolist()
+    # one grid row of Python floats at a time: the whole grid as lists would
+    # hold several times the memory of R
+    rows = ((x, y, v) for x, Ri in zip(xs, R) for y, v in zip(xs, Ri.tolist()))
     n = _write_csv(args.out, ["x", "y", "value"], rows, not args.no_timestamp)
     _report(args.out, n, t0)
     return 0
@@ -159,7 +163,7 @@ def _cmd_estimate(args) -> int:
     model = fit(S, KernelConfig(sigma=args.sigma))
     g = _unit_grid(args.grid)
     R = np.abs(model.cov_matrix(g, g))
-    xs = g.coords[:, 0]
+    xs = g.coords[:, 0].tolist()
     small = args.sigma < est.FIELD_REGIME_CUT
     nearest = np.array([est.dist_metrics(p, S, args.sigma).nearest for p in g.coords])
     if small:
@@ -169,7 +173,11 @@ def _cmd_estimate(args) -> int:
         cumul = np.array([est.dist_metrics(p, S, args.sigma).cumulative for p in g.coords])
         G = np.outer(nearest * cumul, nearest * cumul)
     field = est.absolute_field(G, float(R.max()))
-    rows = ((xs[i], xs[j], R[i, j], field[i, j]) for i in range(g.n) for j in range(g.n))
+    rows = (
+        (x, y, v, f)
+        for x, Ri, Fi in zip(xs, R, field)
+        for y, v, f in zip(xs, Ri.tolist(), Fi.tolist())
+    )
     n = _write_csv(args.out, ["x", "y", "exact", "estimate"], rows, not args.no_timestamp)
     _report(args.out, n, t0)
     return 0

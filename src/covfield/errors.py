@@ -28,4 +28,4 @@ class UnsupportedDimensionError(CovfieldError, ValueError):
 
 
 class DivergenceError(CovfieldError, ArithmeticError):
-    """An iterative solve produced non-finite iterates."""
+    """An iterative solve produced non-finite iterates or broke down."""

@@ -33,8 +33,10 @@ class DistMetrics(NamedTuple):
 
 def _dists_to_obs(x: np.ndarray, S: PointSet) -> np.ndarray:
     """All r distances from x to the observation points (the O(r) kernel all
-    estimators are built from)."""
-    return np.linalg.norm(S.coords - x, axis=1)
+    estimators are built from): ``np.linalg.norm(S.coords - x, axis=1)``
+    without its argument dispatch."""
+    t = S.coords - x
+    return np.sqrt(np.add.reduce(t * t, axis=1))
 
 
 def dist_metrics(x, S: PointSet, sigma: float) -> DistMetrics:
@@ -100,15 +102,17 @@ class ReferencePointSet:
 
 
 def reference_points_1d(model: PosteriorModel) -> ReferencePointSet:
-    """Midpoints between adjacent sorted observations, with exact variances.
+    """Midpoints between adjacent distinct sorted observations, with exact
+    variances.  Repeated observations (allowed when tau > 0) count once, so
+    no midpoint lies on S.
 
     1-d only; there is no canonical gap-filling recipe for d > 1.
     """
     if model.S.d != 1:
         raise UnsupportedDimensionError("reference points are defined for d = 1 only")
-    if model.r < 2:
-        raise ValueError("need at least two observations")
-    s = np.sort(model.S.coords[:, 0])
+    s = np.unique(model.S.coords[:, 0])
+    if s.size < 2:
+        raise ValueError("need at least two distinct observations")
     mids = 0.5 * (s[:-1] + s[1:])
     variances = np.array([model.variance(m) for m in mids])
     return ReferencePointSet(PointSet(mids[:, None]), variances)

@@ -60,8 +60,10 @@ class PointSet:
 
 def as_point(x, d: int | None = None) -> np.ndarray:
     """Coerce a scalar or length-d sequence to a 1-d coordinate array."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1:
+    p = np.asarray(x, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
+    elif p.ndim != 1:
         raise ValueError(f"a point must be 1-d, got shape {p.shape}")
     if d is not None and p.shape[0] != d:
         raise ValueError(f"point has dimension {p.shape[0]}, expected {d}")
@@ -74,9 +76,10 @@ def dist_to_set(x, S: PointSet) -> tuple[float, int]:
     Returns ``(value, index)`` where ``index`` is the argmin (ties broken by
     the lowest index, as ``argmin`` does).
     """
-    p = as_point(x, S.d)
-    dists = np.linalg.norm(S.coords - p, axis=1)
-    i = int(np.argmin(dists))
+    t = S.coords - as_point(x, S.d)
+    # np.linalg.norm(t, axis=1) evaluates exactly this, after its argument dispatch
+    dists = np.sqrt(np.add.reduce(t * t, axis=1))
+    i = int(dists.argmin())
     return float(dists[i]), i
 
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs
 
 from .errors import IllConditionedKernelError, NumericalConsistencyError
 from .geometry import PointSet, as_point
-from .kernel import KernelConfig, kernel_eval, kernel_matrix
+from .kernel import KernelConfig, _kernel_row, kernel_eval, kernel_matrix
 
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
@@ -72,8 +73,11 @@ class PosteriorModel:
                 w = np.zeros(self.r)
                 w[j] = 1.0
                 return w
-        k = kernel_matrix(self.S, PointSet(p[None, :]), self.cfg)[:, 0]
-        return cho_solve((self.chol, True), k)
+        # dpotrs is the LAPACK solve behind cho_solve, minus its per-call checks
+        w, info = dpotrs(self.chol, _kernel_row(p, self.S.coords, self.cfg), lower=1)
+        if info != 0:
+            raise NumericalConsistencyError(f"dpotrs failed with info = {info}")
+        return w
 
     def cov(self, x, y) -> float:
         """Posterior covariance R(x, y).
@@ -86,7 +90,7 @@ class PosteriorModel:
         if tuple(py) > tuple(px):
             px, py = py, px
         w = self.cross_weights(py)
-        k_xs = kernel_matrix(PointSet(px[None, :]), self.S, self.cfg)[0]
+        k_xs = _kernel_row(px, self.S.coords, self.cfg)
         return kernel_eval(px, py, self.cfg) - float(k_xs @ w)
 
     def whitened_cross(self, X: PointSet) -> np.ndarray:

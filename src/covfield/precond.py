@@ -199,21 +199,33 @@ def afn_build(
     pattern on the remaining points is either ``geometric`` (distance
     threshold ``delta``, default 2 sigma) or ``random`` (per-row cap).
     """
+    perm, schur = _landmark_split(X, cfg, r, landmark_seed)
+    return _afn_on_pattern(perm, schur, pattern, delta, cap_fraction, pattern_seed)
+
+
+def _landmark_split(X: PointSet, cfg: KernelConfig, r: int, landmark_seed: int):
+    """The seeded permutation X -> [S; T] and the Schur complement on T."""
     if not 1 <= r < X.n:
         raise ValueError(f"need 1 <= r < n, got r={r}, n={X.n}")
     perm = np.random.default_rng(landmark_seed).permutation(X.n)
     S = PointSet(X.coords[perm[:r]])
     T = PointSet(X.coords[perm[r:]])
-    schur = SchurComplement(S, T, cfg)
+    return perm, SchurComplement(S, T, cfg)
+
+
+def _afn_on_pattern(perm, schur: SchurComplement, pattern, delta, cap_fraction, pattern_seed):
+    """The preconditioner on one landmark split: FSAI of the Schur block on
+    the ``geometric`` or ``random`` pattern over T."""
+    T = schur.T
     if pattern == "geometric":
-        rows = geometric_pattern(T, 2.0 * cfg.sigma if delta is None else delta)
+        rows = geometric_pattern(T, 2.0 * schur.cfg.sigma if delta is None else delta)
     elif pattern == "random":
         rows = random_pattern(T.n, cap_fraction, pattern_seed)
     else:
         raise ValueError("pattern must be 'geometric' or 'random'")
     G = fsai_build(lambda J: schur.block(J, include_noise=True), rows)
     return AfnPreconditioner(
-        perm=perm, r=r, L=schur.L, W=schur.W, G=G, jitter_used=schur.jitter_used
+        perm=perm, r=len(perm) - T.n, L=schur.L, W=schur.W, G=G, jitter_used=schur.jitter_used
     )
 
 
@@ -223,7 +235,8 @@ def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int =
     ``mat_apply`` may be a callable or a dense SPD matrix.  Returns
     ``(solution, iterations, residual_history)`` where the history holds the
     recurrence residual norm after each iteration.  Raises DivergenceError on
-    non-finite iterates.
+    non-finite iterates and on breakdown (p^T A p <= 0 or non-finite, which
+    an indefinite system produces).
     """
     if tol_abs <= 0:
         raise ValueError("tol_abs must be positive")
@@ -240,7 +253,11 @@ def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int =
     it = 0
     while it < max_iter:
         Ap = A(p)
-        alpha = gamma / float(p @ Ap)
+        pAp = float(p @ Ap)
+        if not 0.0 < pAp < np.inf:
+            # CG needs p^T A p > 0; an indefinite A breaks down here
+            raise DivergenceError(f"breakdown at iteration {it + 1}: p^T A p = {pAp:g}")
+        alpha = gamma / pAp
         x += alpha * p
         res -= alpha * Ap
         it += 1
@@ -290,17 +307,17 @@ def run_methods(
     z_ref = cho_solve((c, low), b)
     z_norm = np.linalg.norm(z_ref)
 
+    # methods 2 and 3 share one landmark split and differ only in the pattern
+    split = _landmark_split(X, cfg, r, landmark_seed) if set(methods) - {1} else None
     out = []
     for method in methods:
         if method == 1:
             pre = None
             nnz_frac = float("nan")
         else:
-            P = afn_build(
-                X, cfg, r,
-                pattern="geometric" if method == 3 else "random",
-                delta=delta, cap_fraction=cap_fraction,
-                landmark_seed=landmark_seed, pattern_seed=pattern_seed,
+            P = _afn_on_pattern(
+                *split, "geometric" if method == 3 else "random",
+                delta, cap_fraction, pattern_seed,
             )
             pre = P.apply_inverse
             nnz_frac = P.fsai_nnz_fraction

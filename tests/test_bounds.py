@@ -6,8 +6,10 @@ import pytest
 from covfield import (
     KernelConfig,
     PointSet,
+    dist_to_set,
     estimate_curve,
     fit,
+    kernel_eval,
     lower_bound_small,
     max_cross_weight_norm,
     subsample,
@@ -168,3 +170,32 @@ class TestEstimateCurve:
         model = fit(uniform1d, KernelConfig(sigma=0.05))
         with pytest.raises(ValueError):
             estimate_curve(model, 0.15, unit_grid(11), "sideways")
+
+    def test_distance_curve_matches_dist_to_set_loop(self):
+        rng = np.random.default_rng(7)
+        S = PointSet(rng.uniform(0, 1, (6, 2)))
+        model = fit(S, KernelConfig(sigma=0.4))
+        grid = PointSet(rng.uniform(0, 1, (200, 2)))
+        curve = estimate_curve(model, [0.5, 0.5], grid, "distance", condition=3)
+        loop = np.array([dist_to_set(p, S)[0] for p in grid.coords])
+        exact = np.abs(model.cov_matrix(grid, PointSet(np.array([[0.5, 0.5]]))))[:, 0]
+        np.testing.assert_array_equal(curve, loop * (exact.max() / loop.max()))
+
+
+class TestBitIdentity:
+    def test_bounds_match_public_pieces(self, nonuniform1d):
+        # the bounds, written out from the public pointwise functions
+        model = fit(nonuniform1d, KernelConfig(sigma=0.1, beta=1.3))
+        cfg, sr = model.cfg, math.sqrt(model.r)
+        s2, se = math.sqrt(2.0) * cfg.sigma, cfg.sigma * math.sqrt(math.e)
+        for x, y in np.random.default_rng(8).uniform(0, 1, (50, 2)):
+            dx, dy = dist_to_set(x, model.S)[0], dist_to_set(y, model.S)[0]
+            wx = float(np.linalg.norm(model.cross_weights(x)))
+            wy = float(np.linalg.norm(model.cross_weights(y)))
+            corr = cfg.beta * sr * min(math.exp(-((dx / s2) ** 2)) * wy,
+                                       math.exp(-((dy / s2) ** 2)) * wx)
+            k = kernel_eval(x, y, cfg)
+            assert upper_bound_small(model, x, y) == k + corr
+            assert lower_bound_small(model, x, y) == k - corr
+            assert upper_bound_large(model, x, y) == cfg.beta * min(
+                (1.0 + sr * wy) * dx / se, (1.0 + sr * wx) * dy / se)

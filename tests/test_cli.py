@@ -1,9 +1,10 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from covfield.cli import run
+from covfield.cli import _write_csv, run
 
 
 def read_csv(path):
@@ -44,6 +45,19 @@ class TestFieldCommand:
         vals = [float(r[2]) for r in rows]
         assert any(len(r[2]) > 12 for r in rows)  # full precision serialized
         assert all(np.isfinite(vals))
+
+
+class TestWriteCsv:
+    def test_cell_formats(self, tmp_path):
+        row = ("obs", 3, np.int64(-4), 0.1, np.float64(2.0 / 3.0), math.nan,
+               math.inf, -np.inf, -0.0, np.float64(-0.0), 1e-300)
+        out = tmp_path / "c.csv"
+        assert _write_csv(out, ["c"] * len(row), [row, row], timestamp=False) == 2
+        cells = ["obs", "3", "-4"] + [f"{float(v):.17g}" for v in row[3:]]
+        line = ",".join(cells) + "\n"
+        assert out.read_bytes() == ("c," * (len(row) - 1) + "c\n" + 2 * line).encode()
+        assert line == ("obs,3,-4,0.10000000000000001,0.66666666666666663,"
+                        "nan,inf,-inf,-0,-0,1e-300\n")
 
 
 class TestUsageAndErrors:

@@ -177,6 +177,18 @@ class TestReferencePoints:
         with pytest.raises(UnsupportedDimensionError):
             reference_points_1d(model)
 
+    def test_repeated_observations(self):
+        # tau > 0 admits repeats; no midpoint may land on S (dz = 0 downstream)
+        S = PointSet(np.array([[0.1], [0.5], [0.5], [0.9]]))
+        model = fit(S, KernelConfig(sigma=0.3, tau=0.1))
+        refs = reference_points_1d(model)
+        np.testing.assert_array_equal(refs.points.coords[:, 0], [0.3, 0.7])
+        for x in np.linspace(0, 1, 41):
+            assert np.isfinite(variance_estimator_auto(x, model, refs))
+        with pytest.raises(ValueError):
+            reference_points_1d(fit(PointSet(np.full((3, 1), 0.5)),
+                                    KernelConfig(sigma=0.3, tau=0.1)))
+
 
 class TestVarianceEstimatorLarge:
     def test_exact_at_reference_points(self, uniform1d):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from covfield import KernelConfig, PointSet, kernel_eval, kernel_matrix, lipschitz_bound
+from covfield.kernel import _kernel_row
 
 
 class TestConfig:
@@ -81,6 +82,24 @@ class TestKernelMatrix:
         X = PointSet(np.random.default_rng(3).standard_normal((40, 2)))
         K = kernel_matrix(X, X, KernelConfig(sigma=0.5))
         np.linalg.cholesky(K + 1e-10 * np.eye(40))  # no raise
+
+
+class TestKernelRow:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_bitwise_equal_to_kernel_matrix(self, d):
+        rng = np.random.default_rng(d)
+        cfg = KernelConfig(sigma=0.3, beta=1.7)
+        S = PointSet(rng.standard_normal((9, d)))
+        for p in rng.standard_normal((50, d)):
+            want = kernel_matrix(S, PointSet(p[None, :]), cfg)[:, 0]
+            got = _kernel_row(p, S.coords, cfg)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_non_finite_point(self):
+        S = np.zeros((3, 2))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                _kernel_row(np.array([0.0, bad]), S, KernelConfig(sigma=1.0))
 
 
 class TestLipschitzBound:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from covfield import (
     IllConditionedKernelError,
@@ -91,6 +92,26 @@ class TestCrossWeights:
         w = model.cross_weights(uniform1d.coords[1])
         assert abs(np.linalg.norm(w) - 1.0) > 1e-6  # regularized solve shrinks w
 
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_bitwise_equal_to_cho_solve(self, nonuniform1d, tau):
+        model = fit(nonuniform1d, KernelConfig(sigma=0.2, tau=tau))
+        ys = np.concatenate([np.random.default_rng(5).uniform(-0.5, 1.5, 40),
+                             nonuniform1d.coords[:, 0]])
+        for y in ys:
+            k = kernel_matrix(nonuniform1d, PointSet(np.array([[y]])), model.cfg)[:, 0]
+            want = cho_solve((model.chol, True), k)
+            if tau == 0.0 and y in nonuniform1d.coords[:, 0]:
+                # exact-at-observation lookup: a basis vector, not a solve
+                want = np.eye(model.r)[list(nonuniform1d.coords[:, 0]).index(y)]
+            np.testing.assert_array_equal(model.cross_weights(y), want)
+
+    def test_non_finite_point(self, uniform1d):
+        model = fit(uniform1d, KernelConfig(sigma=0.1))
+        with pytest.raises(ValueError):
+            model.cross_weights(np.nan)
+        with pytest.raises(ValueError):
+            model.cov(0.3, np.inf)
+
 
 class TestPosteriorCov:
     def test_vanishes_at_observations(self, uniform1d):
@@ -121,6 +142,21 @@ class TestPosteriorCov:
         for _ in range(50):
             x, y = rng.uniform(0, 1, 2)
             assert model.cov(x, y) == model.cov(y, x)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bitwise_equal_to_pair_formula(self, d):
+        rng = np.random.default_rng(6)
+        S = PointSet(rng.uniform(0, 1, (6, d)))
+        cfg = KernelConfig(sigma=0.3, tau=0.05)
+        model = fit(S, cfg)
+        for x, y in rng.uniform(0, 1, (40, 2, d)):
+            # the lexicographically smaller point takes the cross-weight slot
+            hi, lo = (x, y) if tuple(x) >= tuple(y) else (y, x)
+            w = cho_solve((model.chol, True), kernel_matrix(S, PointSet(lo[None, :]), cfg)[:, 0])
+            k_xs = kernel_matrix(PointSet(hi[None, :]), S, cfg)[0]
+            want = kernel_eval(hi, lo, cfg) - float(k_xs @ w)
+            assert model.cov(x, y) == want
+            assert model.cov(y, x) == want
 
 
 class TestPosteriorCovMatrix:

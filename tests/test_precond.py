@@ -221,6 +221,16 @@ class TestPcg:
         with pytest.raises(DivergenceError):
             pcg(bad, np.ones(5))
 
+    def test_breakdown_on_zero_curvature(self):
+        # p^T A p = 0 at the first step: a division by zero without the guard
+        with pytest.raises(DivergenceError, match="iteration 1"):
+            pcg(np.diag([1.0, -1.0, 2.0]), np.array([1.0, 1.0, 0.0]))
+
+    def test_breakdown_on_indefinite_system(self):
+        # without the guard this reports convergence to a wrong answer
+        with pytest.raises(DivergenceError, match="iteration 2"):
+            pcg(np.diag([1.0, -2.0]), np.array([1.0, 0.5]))
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             pcg(np.eye(3), np.ones(3), tol_abs=0.0)
@@ -255,3 +265,25 @@ class TestMethodOrdering:
         )
         _, _, hist2 = pcg(A, b, P2.apply_inverse, max_iter=by[3]["iterations"])
         assert hist2[-1] >= by[3]["residual"] - 1e-12
+
+    def test_one_landmark_factor_for_both_patterns(self, monkeypatch):
+        import covfield.precond as precond_mod
+
+        X = generate_gaussian_cloud(200, 2, 30)
+        cfg = KernelConfig(sigma=bandwidth_percentile(X, 5), tau=0.004)
+        calls = []
+        orig_fit = precond_mod.fit
+        monkeypatch.setattr(precond_mod, "fit", lambda *a: calls.append(1) or orig_fit(*a))
+        rows = run_methods(X, cfg, r=40, delta=2 * cfg.sigma,
+                           landmark_seed=31, pattern_seed=32, rhs_seed=33)
+        assert len(calls) == 1
+        # each shared-factor row equals a solve with its own afn_build
+        A = kernel_matrix(X, X, cfg) + cfg.tau**2 * np.eye(X.n)
+        b = np.random.default_rng(33).standard_normal(X.n)
+        b /= np.linalg.norm(b)
+        for row in rows[1:]:
+            P = afn_build(X, cfg, 40, pattern="geometric" if row["method"] == 3 else "random",
+                          delta=2 * cfg.sigma, landmark_seed=31, pattern_seed=32)
+            x, iters, _ = pcg(A, b, P.apply_inverse)
+            assert iters == row["iterations"]
+            assert float(np.linalg.norm(b - A @ x)) == row["residual"]
