@@ -67,8 +67,14 @@ def kernel_matrix(U: PointSet, V: PointSet, cfg: KernelConfig) -> np.ndarray:
     """
     if U.d != V.d:
         raise ValueError(f"dimension mismatch: {U.d} vs {V.d}")
-    sq = cdist(U.coords, V.coords, "sqeuclidean")
-    return cfg.beta * np.exp(-sq / (2.0 * cfg.sigma**2))
+    # in place, so the only n x m buffer is cdist's; the arithmetic is that of
+    # beta * exp(-sq / (2 sigma^2)), value for value
+    out = cdist(U.coords, V.coords, "sqeuclidean")
+    np.negative(out, out=out)
+    out /= 2.0 * cfg.sigma**2
+    np.exp(out, out=out)
+    out *= cfg.beta
+    return out
 
 
 def lipschitz_bound(cfg: KernelConfig) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from covfield import KernelConfig, PointSet, kernel_eval, kernel_matrix, lipschitz_bound
 from covfield.kernel import _kernel_row
@@ -77,6 +78,16 @@ class TestKernelMatrix:
             kernel_matrix(
                 PointSet(np.zeros((2, 1))), PointSet(np.zeros((2, 2))), KernelConfig(sigma=1.0)
             )
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_bitwise_equal_to_formula(self, d):
+        # the in-place transform keeps the arithmetic of the plain expression
+        rng = np.random.default_rng(10 + d)
+        U, V = rng.standard_normal((40, d)), rng.standard_normal((25, d))
+        cfg = KernelConfig(sigma=0.45, beta=1.3)
+        want = cfg.beta * np.exp(-cdist(U, V, "sqeuclidean") / (2.0 * cfg.sigma**2))
+        got = kernel_matrix(PointSet(U), PointSet(V), cfg)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_spd_with_noise(self):
         X = PointSet(np.random.default_rng(3).standard_normal((40, 2)))

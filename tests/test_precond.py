@@ -2,9 +2,11 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from covfield import (
     DivergenceError,
+    IllConditionedKernelError,
     KernelConfig,
     PointSet,
     SchurComplement,
@@ -19,6 +21,7 @@ from covfield import (
     random_pattern,
     run_methods,
 )
+from covfield.posterior import JITTER_LADDER
 from covfield.precond import pattern_nnz
 
 
@@ -39,6 +42,18 @@ class TestSchurComplement:
             i, j = rng.integers(0, T.n, 2)
             want = model.cov(T.coords[i], T.coords[j])
             assert schur.entry(int(i), int(j)) == pytest.approx(want, abs=1e-12)
+
+    def test_one_symmetric_matrix_gathered(self):
+        X = generate_gaussian_cloud(90, 3, 40)
+        cfg = KernelConfig(sigma=0.7, tau=0.05)
+        S, T = split(X, 25, 41)
+        schur = SchurComplement(S, T, cfg)
+        np.testing.assert_array_equal(schur.R, schur.R.T)
+        J = np.sort(np.random.default_rng(42).choice(T.n, 20, replace=False))
+        np.testing.assert_array_equal(schur.block(J), schur.R[np.ix_(J, J)])
+        noisy = schur.R[np.ix_(J, J)] + cfg.tau**2 * np.eye(20)
+        np.testing.assert_array_equal(schur.block(J, include_noise=True), noisy)
+        assert schur.entry(3, 7) == schur.R[3, 7]
 
     def test_diagonal_nearly_nonnegative(self):
         X = generate_gaussian_cloud(100, 3, 3)
@@ -120,6 +135,49 @@ class TestFsai:
         diag = (G @ R @ G.T).diagonal()
         np.testing.assert_allclose(diag, 1.0, atol=1e-10)
 
+    def test_rows_equal_normalized_block_solve(self):
+        # c^{-T} e (B = c c^T) is the normalized solve B^{-1} e / sqrt(e^T B^{-1} e)
+        rng = np.random.default_rng(43)
+        n = 60
+        Q = rng.standard_normal((n, n))
+        A = Q @ Q.T / n + 0.1 * np.eye(n)
+        rows = [np.sort(np.append(rng.choice(i, min(i, rng.integers(0, 30)), replace=False), i))
+                for i in range(n)]
+        G = fsai_build(lambda J: A[np.ix_(J, J)], rows)
+        for i, J in enumerate(rows):
+            e = np.zeros(len(J))
+            e[-1] = 1.0
+            g = cho_solve(cho_factor(A[np.ix_(J, J)], lower=True), e)
+            want = g / np.sqrt(g[-1])
+            got = G[i, J].toarray().ravel()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_jitter_ladder_row(self):
+        # the rank-one block fails the plain factorization; the first jitter
+        # step that factors gives the row of the jittered block
+        B = np.ones((3, 3))
+        G = fsai_build(lambda J: B[np.ix_(J, J)].copy(), [np.array([0]), np.array([0, 1])])
+        for jit in JITTER_LADDER[1:]:  # the block's mean diagonal is 1
+            try:
+                c = np.linalg.cholesky(B[:2, :2] + jit * np.eye(2))
+                break
+            except np.linalg.LinAlgError:
+                continue
+        row = G[1].toarray().ravel()
+        assert np.all(np.isfinite(row))
+        np.testing.assert_allclose(row, np.linalg.inv(c).T[:, 1], rtol=1e-10)
+
+    def test_nan_block_names_row(self):
+        def block(J):
+            B = np.eye(len(J))
+            if J[-1] == 2:
+                B[0, 0] = np.nan
+            return B
+
+        rows = [np.arange(i + 1) for i in range(4)]
+        with pytest.raises(IllConditionedKernelError, match="FSAI row 2"):
+            fsai_build(block, rows)
+
     def test_bad_pattern_rejected(self):
         block = lambda J: np.eye(len(J))  # noqa: E731
         with pytest.raises(ValueError):
@@ -159,6 +217,16 @@ class TestAfn:
             atol=1e-12,
         )
         assert P.apply_inverse(u) @ v == pytest.approx(u @ P.apply_inverse(v), abs=1e-10)
+
+    def test_stored_transpose_bitwise(self):
+        # apply_inverse multiplies by the stored CSR transpose in place of G.T
+        X = generate_gaussian_cloud(150, 3, 44)
+        cfg = KernelConfig(sigma=0.8, tau=0.01)
+        P = afn_build(X, cfg, r=30, delta=2 * cfg.sigma, landmark_seed=45)
+        assert P.GT.format == "csr"
+        for y in np.random.default_rng(46).standard_normal((5, 120)):
+            want = P.G.T @ y
+            np.testing.assert_array_equal((P.GT @ y).view(np.int64), want.view(np.int64))
 
     def test_zero_maps_to_zero(self):
         X = generate_gaussian_cloud(50, 2, 20)
@@ -230,6 +298,22 @@ class TestPcg:
         # without the guard this reports convergence to a wrong answer
         with pytest.raises(DivergenceError, match="iteration 2"):
             pcg(np.diag([1.0, -2.0]), np.array([1.0, 0.5]))
+
+    def test_stops_on_true_residual(self):
+        # one perturbed product makes the recurrence residual drift 1e-3 from
+        # b - A x; the stop check catches it and the solve continues
+        A = np.diag(np.arange(1.0, 21.0))
+        b = np.ones(20)
+        calls = []
+
+        def drifting(v):
+            calls.append(1)
+            return A @ v + (1e-3 if len(calls) == 1 else 0.0)
+
+        x, iters, hist = pcg(drifting, b, tol_abs=1e-10)
+        assert np.linalg.norm(b - A @ x) <= 1e-10
+        assert hist[-1] <= 1e-10 and len(hist) == iters
+        assert iters > pcg(A, b, tol_abs=1e-10)[1]
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
