@@ -17,11 +17,9 @@ from covfield import (
     generate_gaussian_cloud,
     kernel_matrix,
     lowrank_dense,
-    lrsp_dense,
     nystrom_build,
-    pattern_by_radius,
-    sparse_correction,
 )
+from covfield.geometry import radius_pairs
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
@@ -39,22 +37,26 @@ vn = np.linalg.norm(v)
 full = nystrom_build(X, perm[: int(np.ceil(cost_equivalent_rank(100, X.n, X.n**2)))], cfg)
 
 
-def lr_errors(rank):
-    E = K - lowrank_dense(full.prefix(rank))
+def errors(E):
     return float(np.abs(E).max()), float(np.linalg.norm(E @ v) / vn)
 
 
-base = full.prefix(100)
+def lr_errors(rank):
+    return errors(K - lowrank_dense(full.prefix(rank)))
+
+
+# the exact sparse correction is the rank-100 residual R0 itself on the
+# pattern, so the LRSP error is R0 with the pattern zeroed
+R0 = K - lowrank_dense(full.prefix(100))
 rows = []
 print(f"{'delta':>6} {'equiv rank':>10} {'LR max':>10} {'LRSP max':>10} {'LR 2-norm':>10} {'LRSP 2-norm':>11}")
 for mult in range(2, 11):
-    pat = pattern_by_radius(X, mult * cfg.sigma)
-    corr = sparse_correction(X, base, pat, cfg)
-    E = K - lrsp_dense(base, corr)
-    k_eq = cost_equivalent_rank(100, X.n, pat.nnz)
+    pi, pj = radius_pairs(X, mult * cfg.sigma)
+    E = R0.copy()
+    E[pi, pj] = 0.0
+    k_eq = cost_equivalent_rank(100, X.n, len(pi))
     lr_max, lr_two = lr_errors(min(int(round(k_eq)), X.n))
-    lrsp_max = float(np.abs(E).max())
-    lrsp_two = float(np.linalg.norm(E @ v) / vn)
+    lrsp_max, lrsp_two = errors(E)
     rows.append((k_eq, lr_max, lrsp_max, lr_two, lrsp_two))
     print(f"{mult:>5}s {k_eq:>10.1f} {lr_max:>10.3e} {lrsp_max:>10.3e} {lr_two:>10.3e} {lrsp_two:>11.3e}")
 

@@ -34,6 +34,7 @@ from .estimators import (
     ReferencePointSet,
     absolute_field,
     dist_metrics,
+    estimator_field,
     field_estimator_large,
     field_estimator_small,
     reference_points_1d,

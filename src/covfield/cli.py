@@ -32,6 +32,7 @@ from .geometry import (
     generate_gaussian_cloud,
     load_csv,
     preset_observations,
+    radius_pairs,
     standardize,
     subsample,
 )
@@ -164,15 +165,7 @@ def _cmd_estimate(args) -> int:
     g = _unit_grid(args.grid)
     R = np.abs(model.cov_matrix(g, g))
     xs = g.coords[:, 0].tolist()
-    small = args.sigma < est.FIELD_REGIME_CUT
-    nearest = np.array([est.dist_metrics(p, S, args.sigma).nearest for p in g.coords])
-    if small:
-        kern = kernel_matrix(g, g, KernelConfig(sigma=args.sigma))
-        G = np.sqrt(np.outer(nearest, nearest)) * kern
-    else:
-        cumul = np.array([est.dist_metrics(p, S, args.sigma).cumulative for p in g.coords])
-        G = np.outer(nearest * cumul, nearest * cumul)
-    field = est.absolute_field(G, float(R.max()))
+    field = est.absolute_field(est.estimator_field(g, S, args.sigma), float(R.max()))
     rows = (
         (x, y, v, f)
         for x, Ri, Fi in zip(xs, R, field)
@@ -238,19 +231,28 @@ def _cmd_lrsp(args) -> int:
     cfg = KernelConfig(sigma=args.sigma)
     lo, hi, step = _parse_sweep(args.rank_sweep, "--rank-sweep")
     ranks = [int(round(rank)) for rank in np.arange(lo, hi + 1e-9, step)]
+    if not 1 <= args.r0 <= args.n:
+        raise CovfieldError(f"--r0 must lie in [1, n = {args.n}], got {args.r0}")
+    bad = [rank for rank in ranks if not 1 <= rank <= args.n]
+    if bad:
+        raise CovfieldError(f"--rank-sweep: rank {bad[0]} outside [1, n = {args.n}]")
     # every rank is a prefix of one factor at the largest rank the run can
     # ask for; a pattern has at most n^2 entries, which bounds matched ranks
     k_max = max(ranks + [math.ceil(lrsp_mod.cost_equivalent_rank(args.r0, args.n, args.n**2))])
     perm = np.random.default_rng(args.seed + 1).permutation(args.n)
     full = lrsp_mod.nystrom_build(X, perm[: min(k_max, args.n)], cfg)
-    f0 = full.prefix(args.r0)
     K = kernel_matrix(X, X, cfg)
+    # the residual of the r0 factor: the LRSP correction is R0 itself on the
+    # pattern, so the LRSP error is R0 with the pattern zeroed
+    R0 = K - lrsp_mod.lowrank_dense(full.prefix(args.r0))
     v = np.random.default_rng(args.seed + 2).standard_normal(args.n)
     vn = np.linalg.norm(v)
 
-    def lr_errors(rank: int) -> tuple[float, float]:
-        E = K - lrsp_mod.lowrank_dense(full.prefix(rank))
+    def errors(E: np.ndarray) -> tuple[float, float]:
         return float(np.abs(E).max()), float(np.linalg.norm(E @ v) / vn)
+
+    def lr_errors(rank: int) -> tuple[float, float]:
+        return errors(K - lrsp_mod.lowrank_dense(full.prefix(rank)))
 
     rows = []
     for rank in ranks:
@@ -260,15 +262,16 @@ def _cmd_lrsp(args) -> int:
     lo, hi, step = _parse_sweep(args.delta_sweep, "--delta-sweep")
     lr_cache: dict[int, tuple[float, float]] = {}
     for mult in np.arange(lo, hi + 1e-9, step):
-        pat = lrsp_mod.pattern_by_radius(X, mult * args.sigma)
-        corr = lrsp_mod.sparse_correction(X, f0, pat, cfg)
-        E = K - lrsp_mod.lrsp_dense(f0, corr)
-        k_eq = lrsp_mod.cost_equivalent_rank(args.r0, args.n, pat.nnz)
+        pi, pj = radius_pairs(X, mult * args.sigma)
+        E = R0.copy()
+        E[pi, pj] = 0.0
+        k_eq = lrsp_mod.cost_equivalent_rank(args.r0, args.n, len(pi))
         kk = min(int(round(k_eq)), args.n)
         if kk not in lr_cache:
             lr_cache[kk] = lr_errors(kk)
         lm, l2 = lr_cache[kk]
-        rows.append((k_eq, lm, float(np.abs(E).max()), l2, float(np.linalg.norm(E @ v) / vn)))
+        em, e2 = errors(E)
+        rows.append((k_eq, lm, em, l2, e2))
 
     n = _write_csv(
         args.out, ["equiv_rank", "lr_max", "lrsp_max", "lr_2norm", "lrsp_2norm"],

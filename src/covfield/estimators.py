@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, UnsupportedDimensionError
 from .geometry import PointSet, as_point
-from .kernel import KernelConfig
+from .kernel import KernelConfig, kernel_matrix
 from .posterior import PosteriorModel
 
 FIELD_REGIME_CUT = 0.3
@@ -68,6 +68,19 @@ def field_estimator_large(x, y, S: PointSet, sigma: float) -> float:
     mx = dist_metrics(x, S, sigma)
     my = dist_metrics(y, S, sigma)
     return mx.nearest * my.nearest * mx.cumulative * my.cumulative
+
+
+def estimator_field(X: PointSet, S: PointSet, sigma: float) -> np.ndarray:
+    """Relative field estimator on every pair of points of X: the
+    small-bandwidth form for sigma < ``FIELD_REGIME_CUT``, the large one
+    otherwise.  The grid form of ``field_estimator_small``/``_large``; its
+    products are taken in another order, so the last bits may differ."""
+    m = [dist_metrics(p, S, sigma) for p in X.coords]
+    near = np.array([q.nearest for q in m])
+    if sigma < FIELD_REGIME_CUT:
+        return np.sqrt(np.outer(near, near)) * kernel_matrix(X, X, KernelConfig(sigma=sigma))
+    h = near * np.array([q.cumulative for q in m])
+    return np.outer(h, h)
 
 
 def absolute_field(values: np.ndarray, ref_max: float) -> np.ndarray:

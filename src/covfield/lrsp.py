@@ -22,8 +22,6 @@ from .geometry import PointSet, radius_pairs
 from .kernel import KernelConfig, kernel_matrix
 from .posterior import fit
 
-_BLOCK = 256   # pattern rows per kernel block in sparse_correction
-
 
 @dataclass(frozen=True)
 class NystromFactor:
@@ -81,37 +79,19 @@ def pattern_by_radius(X: PointSet, delta: float) -> sp.csr_matrix:
 def sparse_correction(
     X: PointSet, factor: NystromFactor, pattern: sp.csr_matrix, cfg: KernelConfig
 ) -> sp.csr_matrix:
-    """Residual entries kernel(x_i, x_j) - (W^T W)_ij on the (symmetric)
-    pattern only.
+    """Residual entries kernel(x_i, x_j) - (W^T W)_ij on the pattern only.
 
-    The upper-triangle entries are gathered from dense residual blocks of
-    ``_BLOCK`` rows, then mirrored so the stored values are bitwise
-    symmetric; the full n x n residual is never formed here (only test
-    oracles do that).
+    A gather from the dense residual R = K_XX - W^T W, one n x n buffer
+    (desk scale, like the K every caller already holds).  numpy forms W^T W
+    as a syrk, so R and the stored values are bitwise symmetric.
     """
-    upper = sp.triu(pattern, format="csr")
-    n = X.n
-    W = factor.W
-    rows = np.repeat(np.arange(n), np.diff(upper.indptr))
-    cols = upper.indices
-    vals = np.empty(len(cols))
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        a, b = upper.indptr[lo], upper.indptr[hi]
-        # upper-triangle entries of rows lo:hi lie in columns lo:
-        R = kernel_matrix(PointSet(X.coords[lo:hi]), PointSet(X.coords[lo:]), cfg)
-        R -= W[:, lo:hi].T @ W[:, lo:]
-        vals[a:b] = R[rows[a:b] - lo, cols[a:b] - lo]
-    off = rows != cols
-    out = sp.csr_matrix(
-        (
-            np.concatenate([vals, vals[off]]),
-            (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])),
-        ),
-        shape=(n, n),
+    R = kernel_matrix(X, X, cfg)
+    R -= lowrank_dense(factor)
+    rows = np.repeat(np.arange(X.n), np.diff(pattern.indptr))
+    return sp.csr_matrix(
+        (R[rows, pattern.indices], pattern.indices.copy(), pattern.indptr.copy()),
+        shape=(X.n, X.n),
     )
-    out.sort_indices()
-    return out
 
 
 def lrsp_dense(factor: NystromFactor, correction: sp.csr_matrix) -> np.ndarray:

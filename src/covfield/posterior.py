@@ -99,13 +99,13 @@ class PosteriorModel:
         return solve_triangular(self.chol, kernel_matrix(self.S, X, self.cfg), lower=True)
 
     def cov_matrix(self, X: PointSet, Y: PointSet) -> np.ndarray:
-        """Posterior covariance matrix R(X, Y); symmetrized when X equals Y."""
+        """Posterior covariance matrix R(X, Y).  Exactly symmetric when X
+        equals Y: ``kernel_matrix`` is, and numpy forms A^T A as a syrk."""
         same = X is Y or (X.n == Y.n and np.array_equal(X.coords, Y.coords))
         A = self.whitened_cross(X)
         B = A if same else self.whitened_cross(Y)
-        R = kernel_matrix(X, Y, self.cfg) - A.T @ B
-        if same:
-            R = 0.5 * (R + R.T)
+        R = kernel_matrix(X, Y, self.cfg)
+        R -= A.T @ B
         return R
 
     def mean(self, obs_values, X: PointSet) -> np.ndarray:

@@ -17,7 +17,7 @@ from covfield import (
     PointSet,
     bandwidth_percentile,
     cost_equivalent_rank,
-    dist_metrics,
+    estimator_field,
     fit,
     generate_gaussian_cloud,
     kernel_matrix,
@@ -308,14 +308,7 @@ def test_criterion_12_pattern_fidelity():
         for sigma in (0.1, 0.2, 0.4):
             model = fit(S, KernelConfig(sigma=sigma))
             exact = np.abs(model.cov_matrix(grid, grid))
-            near = np.array([dist_metrics(p, S, sigma).nearest for p in grid.coords])
-            if sigma < 0.3:
-                est = np.sqrt(np.outer(near, near)) * kernel_matrix(
-                    grid, grid, KernelConfig(sigma=sigma)
-                )
-            else:
-                cum = np.array([dist_metrics(p, S, sigma).cumulative for p in grid.coords])
-                est = np.outer(near * cum, near * cum)
+            est = estimator_field(grid, S, sigma)
             ntop = int(np.ceil(0.1 * exact.size))
             top_true = set(np.argsort(exact.ravel())[-ntop:])
             top_est = set(np.argsort(est.ravel())[-ntop:])

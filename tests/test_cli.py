@@ -4,6 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from covfield import (
+    KernelConfig,
+    cost_equivalent_rank,
+    generate_gaussian_cloud,
+    kernel_matrix,
+    lrsp_dense,
+    nystrom_build,
+    pattern_by_radius,
+    sparse_correction,
+)
 from covfield.cli import _write_csv, run
 
 
@@ -163,6 +173,31 @@ class TestLrspCommand:
         assert len(rows) == 3 + 2  # three rank-sweep rows, two delta rows
         for r in rows[3:]:
             assert float(r[2]) < float(r[1])  # LRSP beats LR at equal storage
+        # the radius rows against the dense LRSP reconstruction
+        X = generate_gaussian_cloud(150, 3, 42)
+        cfg = KernelConfig(sigma=0.5)
+        f0 = nystrom_build(X, np.random.default_rng(43).permutation(X.n)[:20], cfg)
+        K = kernel_matrix(X, X, cfg)
+        v = np.random.default_rng(44).standard_normal(X.n)
+        for mult, r in zip((2, 3), rows[3:]):
+            pat = pattern_by_radius(X, mult * cfg.sigma)
+            E = K - lrsp_dense(f0, sparse_correction(X, f0, pat, cfg))
+            assert float(r[0]) == cost_equivalent_rank(20, X.n, pat.nnz)
+            assert float(r[2]) == pytest.approx(np.abs(E).max(), rel=0, abs=1e-12)
+            two = np.linalg.norm(E @ v) / np.linalg.norm(v)
+            assert float(r[4]) == pytest.approx(two, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "200", "--rank-sweep", "100:400:100"],   # ranks above n
+        ["--n", "200", "--r0", "500"],
+        ["--r0", "0"],
+    ])
+    def test_rank_outside_range(self, tmp_path, capsys, flags):
+        out = tmp_path / "l.csv"
+        assert run(["lrsp", *flags, "--out", str(out)]) == 1
+        flag = "--rank-sweep" if "--rank-sweep" in flags else "--r0"
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+        assert not out.exists()
 
 
 class TestPrecondCommand:

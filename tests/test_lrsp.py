@@ -170,6 +170,20 @@ class TestSparseCorrection:
         ]) - dense_lr[corr.row, corr.col]
         np.testing.assert_allclose(corr.data, want, rtol=0, atol=1e-12)
 
+    def test_correction_is_residual_on_pattern(self):
+        # bit for bit: the correction takes the residual's own entries, so the
+        # LRSP error is the residual with the pattern zeroed.  A high rank,
+        # where products of column blocks of W can round unlike W^T W whole.
+        X = generate_gaussian_cloud(500, 3, 42)
+        cfg = KernelConfig(sigma=0.5)
+        fac = nystrom_build(X, np.random.default_rng(43).permutation(X.n)[:400], cfg)
+        pat = pattern_by_radius(X, 1.0)
+        R = kernel_matrix(X, X, cfg) - lowrank_dense(fac)
+        got = R - sparse_correction(X, fac, pat, cfg).toarray()
+        want = R.copy()
+        want[pat.toarray()] = 0.0
+        np.testing.assert_array_equal(got, want)
+
     def test_values_symmetric(self):
         X = generate_gaussian_cloud(50, 2, 6)
         cfg = KernelConfig(sigma=0.5)
