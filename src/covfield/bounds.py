@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .geometry import PointSet, as_point, dist_to_set
+from .geometry import PointSet, as_point
 from .kernel import kernel_eval, kernel_matrix
 from .posterior import PosteriorModel
 
@@ -33,22 +33,14 @@ def _sq(t: float) -> float:
     return t * t
 
 
-def _point_terms(model: PosteriorModel, x) -> tuple[np.ndarray, float, float]:
-    """The coerced point, dist(x, S) and ||w(x)||_2 (``sqrt(w @ w)``, the
-    expression ``np.linalg.norm`` evaluates for a 1-d array)."""
-    p = as_point(x, model.S.d)
-    w = model.cross_weights(p)
-    return p, dist_to_set(p, model.S)[0], math.sqrt(float(w @ w))
-
-
 def _branch_terms(model: PosteriorModel, x, y) -> tuple[float, float]:
     """kernel(x, y) and the correction beta * sqrt(r) * min over the two
     symmetric branches of exp(-rho_hat^2) * ||w(other point)||_2."""
     s2 = math.sqrt(2.0) * model.cfg.sigma
-    px, dx, wx = _point_terms(model, x)
-    py, dy, wy = _point_terms(model, y)
-    branch_x = math.exp(-_sq(dx / s2)) * wy   # rho_hat from x, weights at y
-    branch_y = math.exp(-_sq(dy / s2)) * wx
+    px, tx = model._point(x)
+    py, ty = model._point(y)
+    branch_x = math.exp(-_sq(tx.dist / s2)) * ty.wnorm   # rho_hat from x, weights at y
+    branch_y = math.exp(-_sq(ty.dist / s2)) * tx.wnorm
     correction = model.cfg.beta * math.sqrt(model.r) * min(branch_x, branch_y)
     return kernel_eval(px, py, model.cfg), correction
 
@@ -75,7 +67,7 @@ def variance_lower_bound(model: PosteriorModel, x, max_weight_norm: float) -> fl
     if max_weight_norm < 1:
         raise ValueError("max_weight_norm is >= 1 by definition")
     s2 = math.sqrt(2.0) * model.cfg.sigma
-    rho_hat = dist_to_set(x, model.S)[0] / s2
+    rho_hat = model._point(x)[1].dist / s2
     return model.cfg.beta * (
         1.0 - math.exp(-_sq(rho_hat)) * math.sqrt(model.r) * max_weight_norm
     )
@@ -87,9 +79,10 @@ def upper_bound_large(model: PosteriorModel, x, y) -> float:
     cfg = model.cfg
     se = cfg.sigma * math.sqrt(math.e)
     sr = math.sqrt(model.r)
-    _, dx, wx = _point_terms(model, x)
-    _, dy, wy = _point_terms(model, y)
-    return cfg.beta * min((1.0 + sr * wy) * dx / se, (1.0 + sr * wx) * dy / se)
+    tx = model._point(x)[1]
+    ty = model._point(y)[1]
+    return cfg.beta * min((1.0 + sr * ty.wnorm) * tx.dist / se,
+                          (1.0 + sr * tx.wnorm) * ty.dist / se)
 
 
 def estimate_curve(
@@ -138,9 +131,9 @@ def estimate_curve(
         curve = np.linalg.norm(grid.coords[:, None, :] - model.S.coords, axis=2).min(axis=1)
     else:
         kern = kernel_matrix(grid, PointSet(ys[None, :]), cfg)[:, 0]
-        _, dy, wy = _point_terms(model, ys)
-        rho_hat = dy / (math.sqrt(2.0) * cfg.sigma)
-        tail = cfg.beta * math.sqrt(model.r) * math.exp(-_sq(rho_hat)) * wy
+        ty = model._point(ys)[1]
+        rho_hat = ty.dist / (math.sqrt(2.0) * cfg.sigma)
+        tail = cfg.beta * math.sqrt(model.r) * math.exp(-_sq(rho_hat)) * ty.wnorm
         curve = kern + tail if kind == "upper" else kern - tail
 
     exact = np.abs(model.cov_matrix(grid, PointSet(ys[None, :]))[:, 0])

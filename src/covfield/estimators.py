@@ -43,7 +43,7 @@ def dist_metrics(x, S: PointSet, sigma: float) -> DistMetrics:
     """Nearest-point and cumulative distance of x to S, in units of sigma."""
     p = as_point(x, S.d)
     d = _dists_to_obs(p, S)
-    return DistMetrics(float(d.min()) / sigma, float(np.sqrt(np.sum(d**2))) / sigma)
+    return DistMetrics(float(d.min()) / sigma, float(np.sqrt(np.add.reduce(d * d))) / sigma)
 
 
 def field_estimator_small(x, y, S: PointSet, sigma: float) -> float:
@@ -51,9 +51,10 @@ def field_estimator_small(x, y, S: PointSet, sigma: float) -> float:
     sqrt(nearest(x) * nearest(y)) * exp(-||x-y||^2 / (2 sigma^2))."""
     px = as_point(x, S.d)
     py = as_point(y, S.d)
-    hx = dist_metrics(px, S, sigma).nearest
-    hy = dist_metrics(py, S, sigma).nearest
-    sq = float(np.sum((px - py) ** 2))
+    hx = float(_dists_to_obs(px, S).min()) / sigma
+    hy = float(_dists_to_obs(py, S).min()) / sigma
+    t = px - py
+    sq = float(np.add.reduce(t * t))
     return math.sqrt(hx * hy) * math.exp(-sq / (2.0 * sigma**2))
 
 

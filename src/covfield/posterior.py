@@ -9,22 +9,30 @@ posterior mean, the posterior covariance field
 the posterior variance R(x, x), and the grid supremum of the cross-weight
 norm ||(K_SS + tau^2 I)^{-1} K_Sy||_p.
 
-The model is immutable after ``fit``; all evaluations are read-only.
+Every result is a pure function of the model and the query.  The only
+mutable state is a bounded memo of per-point terms (kernel row, cross
+weights, distance to S, weight norm), so the bounds and ``cov`` at one pair
+evaluate each point once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrs
 
 from .errors import IllConditionedKernelError, NumericalConsistencyError
-from .geometry import PointSet, as_point
+from .geometry import PointSet, as_point, dist_to_set
 from .kernel import KernelConfig, _kernel_row, kernel_eval, kernel_matrix
 
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
+
+# entries in a model's per-point memo: the two points of a query pair, twice over
+_MEMO_SIZE = 4
 
 
 def jittered_cholesky(A: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
@@ -43,6 +51,15 @@ def jittered_cholesky(A: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     )
 
 
+class PointTerms(NamedTuple):
+    """What the pointwise evaluators need of one point p."""
+
+    k: np.ndarray    # kernel row k_S(p)
+    w: np.ndarray    # cross weights (K_SS + (tau^2 + jitter) I)^{-1} k_S(p)
+    dist: float      # dist(p, S)
+    wnorm: float     # ||w||_2, as sqrt(w @ w) (what np.linalg.norm evaluates)
+
+
 @dataclass(frozen=True)
 class PosteriorModel:
     S: PointSet
@@ -50,6 +67,7 @@ class PosteriorModel:
     chol: np.ndarray = field(repr=False)          # lower factor of K_SS + (tau^2 + jitter) I
     jitter_used: float = 0.0
     _obs_index: dict = field(repr=False, default_factory=dict)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def r(self) -> int:
@@ -64,20 +82,39 @@ class PosteriorModel:
     def _lookup_obs(self, y: np.ndarray) -> int | None:
         return self._obs_index.get(y.tobytes())
 
+    def _point(self, x) -> tuple[np.ndarray, PointTerms]:
+        """The coerced point p and its ``PointTerms``, memoized on p's bytes.
+
+        A full memo is cleared before the next insertion.  Each dict
+        operation on the memo is atomic and an entry is never changed after
+        insertion, so concurrent callers can only miss, never read another
+        point's terms; threads that insert at the same moment may each add
+        one entry past ``_MEMO_SIZE`` before the next clear.
+        """
+        p = as_point(x, self.S.d)
+        key = p.tobytes()
+        terms = self._memo.get(key)
+        if terms is not None:
+            return p, terms
+        k = _kernel_row(p, self.S.coords, self.cfg)
+        j = self._lookup_obs(p) if self._exact_at_obs else None
+        if j is not None:
+            w = np.zeros(self.r)
+            w[j] = 1.0
+        else:
+            # dpotrs is the LAPACK solve behind cho_solve, minus its per-call checks
+            w, info = dpotrs(self.chol, k, lower=1)
+            if info != 0:
+                raise NumericalConsistencyError(f"dpotrs failed with info = {info}")
+        terms = PointTerms(k, w, dist_to_set(p, self.S)[0], math.sqrt(float(w @ w)))
+        if len(self._memo) >= _MEMO_SIZE:
+            self._memo.clear()
+        self._memo[key] = terms
+        return p, terms
+
     def cross_weights(self, y) -> np.ndarray:
-        """Solve (K_SS + (tau^2 + jitter) I) w = K_Sy."""
-        p = as_point(y, self.S.d)
-        if self._exact_at_obs:
-            j = self._lookup_obs(p)
-            if j is not None:
-                w = np.zeros(self.r)
-                w[j] = 1.0
-                return w
-        # dpotrs is the LAPACK solve behind cho_solve, minus its per-call checks
-        w, info = dpotrs(self.chol, _kernel_row(p, self.S.coords, self.cfg), lower=1)
-        if info != 0:
-            raise NumericalConsistencyError(f"dpotrs failed with info = {info}")
-        return w
+        """Solve (K_SS + (tau^2 + jitter) I) w = K_Sy; a copy of the memo's w."""
+        return self._point(y)[1].w.copy()
 
     def cov(self, x, y) -> float:
         """Posterior covariance R(x, y).
@@ -85,13 +122,11 @@ class PosteriorModel:
         Evaluated with the lexicographically smaller argument in the
         cross-weight slot, so cov(x, y) and cov(y, x) are bit-identical.
         """
-        px = as_point(x, self.S.d)
-        py = as_point(y, self.S.d)
+        px, tx = self._point(x)
+        py, ty = self._point(y)
         if tuple(py) > tuple(px):
-            px, py = py, px
-        w = self.cross_weights(py)
-        k_xs = _kernel_row(px, self.S.coords, self.cfg)
-        return kernel_eval(px, py, self.cfg) - float(k_xs @ w)
+            px, py, tx, ty = py, px, ty, tx
+        return kernel_eval(px, py, self.cfg) - float(tx.k @ ty.w)
 
     def whitened_cross(self, X: PointSet) -> np.ndarray:
         """The whitened cross-kernel A_X = L^{-1} K_SX (r x |X|), L = ``chol``,

@@ -26,3 +26,24 @@ def nonuniform1d():
 
 def unit_grid(n: int) -> PointSet:
     return PointSet(np.linspace(0.0, 1.0, n)[:, None])
+
+
+def memo_model(d: int, tau: float) -> tuple[PointSet, KernelConfig]:
+    """Six seeded observations in [0, 1]^d and their kernel, for the
+    per-point memo tests."""
+    S = PointSet(np.random.default_rng(4).uniform(0.0, 1.0, (6, d)))
+    return S, KernelConfig(sigma=0.3, tau=tau)
+
+
+def memo_pairs(S: PointSet, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Query pairs for the per-point memo tests: random pairs in [0, 1]^d,
+    pairs with one or both points on S, and a point of S with itself."""
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(0.0, 1.0, (2 * S.n, 2, S.d))
+    on = S.coords
+    pairs = [(x, y) for x, y in off]
+    pairs += [(on[i], off[i, 0]) for i in range(S.n)]
+    pairs += [(off[i, 1], on[i]) for i in range(S.n)]
+    pairs += [(on[i], on[(i + 1) % S.n]) for i in range(S.n)]
+    pairs += [(on[0], on[0])]
+    return pairs

@@ -12,13 +12,14 @@ from covfield import (
     kernel_eval,
     lower_bound_small,
     max_cross_weight_norm,
+    posterior,
     subsample,
     upper_bound_large,
     upper_bound_small,
     variance_lower_bound,
 )
 
-from conftest import unit_grid
+from conftest import memo_model, memo_pairs, unit_grid
 
 
 def sandwich_violations(model, pairs, include_large=True):
@@ -199,3 +200,44 @@ class TestBitIdentity:
             assert lower_bound_small(model, x, y) == k - corr
             assert upper_bound_large(model, x, y) == cfg.beta * min(
                 (1.0 + sr * wy) * dx / se, (1.0 + sr * wx) * dy / se)
+
+
+class TestPointMemo:
+    @staticmethod
+    def _results(model, x, y):
+        """The bounds at (x, y) and (y, x), the later ones on a warm memo."""
+        return (upper_bound_small(model, x, y), lower_bound_small(model, x, y),
+                upper_bound_large(model, x, y), upper_bound_small(model, y, x),
+                lower_bound_small(model, y, x), upper_bound_large(model, y, x),
+                variance_lower_bound(model, x, 1.0), variance_lower_bound(model, y, 1.0))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_warm_memo_bitwise_equal_to_fresh_fit(self, d, tau):
+        S, cfg = memo_model(d, tau)
+        model = fit(S, cfg)
+        fns = (upper_bound_small, lower_bound_small, upper_bound_large)
+        for x, y in memo_pairs(S, seed=12):
+            # each result from its own fresh fit (an empty memo)
+            want = [f(fit(S, cfg), a, b) for a, b in ((x, y), (y, x)) for f in fns]
+            want += [variance_lower_bound(fit(S, cfg), p, 1.0) for p in (x, y)]
+            got = self._results(model, x, y)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+
+    def test_one_pair_costs_two_solves(self, nonuniform1d, monkeypatch):
+        dpotrs = posterior.dpotrs
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return dpotrs(*args, **kwargs)
+
+        monkeypatch.setattr(posterior, "dpotrs", counting)
+        model = fit(nonuniform1d, KernelConfig(sigma=0.1))
+        x, y = 0.31, 0.47    # neither is on S
+        model.cov(x, y)
+        lower_bound_small(model, x, y)
+        upper_bound_small(model, x, y)
+        upper_bound_large(model, x, y)
+        model.variance(x)
+        assert len(solves) == 2

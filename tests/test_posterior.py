@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from covfield import (
     kernel_matrix,
     max_cross_weight_norm,
 )
-from covfield.posterior import PosteriorModel
+from covfield.posterior import _MEMO_SIZE, PosteriorModel
 
-from conftest import dense_posterior_oracle, unit_grid
+from conftest import dense_posterior_oracle, memo_model, memo_pairs, unit_grid
 
 
 class TestFit:
@@ -157,6 +159,107 @@ class TestPosteriorCov:
             want = kernel_eval(hi, lo, cfg) - float(k_xs @ w)
             assert model.cov(x, y) == want
             assert model.cov(y, x) == want
+
+
+def _pair_results(model, x, y):
+    """Every memo-fed model result at one pair, the later ones on a warm memo."""
+    return (model.cov(x, y), model.cov(y, x), model.variance(x), model.variance(y),
+            model.cross_weights(x), model.cross_weights(y))
+
+
+def _fresh_pair_results(S, cfg, x, y):
+    """The same results, each from its own fresh fit (an empty memo)."""
+    return (fit(S, cfg).cov(x, y), fit(S, cfg).cov(y, x), fit(S, cfg).variance(x),
+            fit(S, cfg).variance(y), fit(S, cfg).cross_weights(x),
+            fit(S, cfg).cross_weights(y))
+
+
+def _assert_bitwise(got, want):
+    for g, w in zip(got, want, strict=True):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), (g, w)
+
+
+class TestPointMemo:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_warm_memo_bitwise_equal_to_fresh_fit(self, d, tau):
+        S, cfg = memo_model(d, tau)
+        model = fit(S, cfg)
+        for x, y in memo_pairs(S, seed=9):
+            _assert_bitwise(_pair_results(model, x, y), _fresh_pair_results(S, cfg, x, y))
+
+    def test_mutating_cross_weights_leaves_results_unchanged(self):
+        S, cfg = memo_model(2, 0.0)
+        model = fit(S, cfg)
+        for x, y in memo_pairs(S, seed=10):
+            model.cross_weights(x)[:] = 7.0
+            model.cross_weights(y)[0] += 1.0
+            _assert_bitwise(_pair_results(model, x, y), _fresh_pair_results(S, cfg, x, y))
+
+    def test_memo_stays_bounded(self, uniform1d):
+        model = fit(uniform1d, KernelConfig(sigma=0.1))
+        for x in np.linspace(-0.5, 1.5, 1000):
+            model.variance(x)
+            assert len(model._memo) <= _MEMO_SIZE
+        assert len(model._memo) > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bad_points_raise_after_warm_up(self, d):
+        S, cfg = memo_model(d, 0.0)
+        model = fit(S, cfg)
+        p = np.full(d, 0.3)
+        model.cov(p, S.coords[0])
+        # p[None, :] has the warm entry's bytes but is not a point: the shape
+        # check runs before the lookup
+        for bad in (p[None, :], np.full(d + 1, 0.3), np.full(d, np.nan), np.full(d, np.inf)):
+            with pytest.raises(ValueError):
+                model.cov(p, bad)
+            with pytest.raises(ValueError):
+                model.variance(bad)
+            with pytest.raises(ValueError):
+                model.cross_weights(bad)
+        assert model.cov(p, S.coords[0]) == fit(S, cfg).cov(p, S.coords[0])
+
+    def test_two_threads_get_single_thread_results(self):
+        S, cfg = memo_model(2, 0.1)
+        pairs = memo_pairs(S, seed=11)
+        want = [_fresh_pair_results(S, cfg, x, y) for x, y in pairs]
+        model = fit(S, cfg)
+        got = [[], []]
+        errors = []
+        start = threading.Barrier(2)
+
+        def hammer(t):
+            try:
+                start.wait()
+                for _ in range(20):
+                    # the threads walk the pairs in opposite orders, so their
+                    # points interleave in the memo
+                    order = range(len(pairs)) if t == 0 else reversed(range(len(pairs)))
+                    got[t].append({i: _pair_results(model, *pairs[i]) for i in order})
+            except Exception as exc:    # reported in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,)) for t in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        # one insertion per thread may pass the size check at the same moment
+        assert len(model._memo) <= _MEMO_SIZE + 1
+        for runs in got:
+            assert len(runs) == 20
+            for res in runs:
+                for i in range(len(pairs)):
+                    _assert_bitwise(res[i], want[i])
 
 
 class TestPosteriorCovMatrix:
