@@ -14,12 +14,14 @@ import numpy as np
 from covfield import (
     KernelConfig,
     cost_equivalent_rank,
+    distance_matrix,
     generate_gaussian_cloud,
     kernel_matrix,
     lowrank_dense,
+    lowrank_sweep,
+    lrsp_sweep,
     nystrom_build,
 )
-from covfield.geometry import radius_pairs
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
@@ -29,36 +31,29 @@ cfg = KernelConfig(sigma=0.5)
 K = kernel_matrix(X, X, cfg)
 perm = np.random.default_rng(43).permutation(X.n)
 v = np.random.default_rng(44).standard_normal(X.n)
-vn = np.linalg.norm(v)
 
 
 # landmarks are nested prefixes of one permutation, so every rank used below
 # is a slice of one factor at the largest rank (pattern nnz <= n^2)
 full = nystrom_build(X, perm[: int(np.ceil(cost_equivalent_rank(100, X.n, X.n**2)))], cfg)
 
-
-def errors(E):
-    return float(np.abs(E).max()), float(np.linalg.norm(E @ v) / vn)
-
-
-def lr_errors(rank):
-    return errors(K - lowrank_dense(full.prefix(rank)))
-
-
 # the exact sparse correction is the rank-100 residual R0 itself on the
-# pattern, so the LRSP error is R0 with the pattern zeroed
-R0 = K - lowrank_dense(full.prefix(100))
-rows = []
+# pattern, so the LRSP error is R0 with the pattern zeroed: one pass over
+# the radii zeroes R0's nested patterns in place
+mults = range(2, 11)
+sparse = lrsp_sweep(K - lowrank_dense(full.prefix(100)), distance_matrix(X),
+                    [mult * cfg.sigma for mult in mults], v)
+k_eq = [cost_equivalent_rank(100, X.n, nnz) for nnz, _, _ in sparse]
+matched = [min(int(round(k)), X.n) for k in k_eq]
+# one pass of rank-block downdates of K serves the matched and the flat ranks
+flat_ranks = range(100, 661, 80)
+lr = lowrank_sweep(K, full, matched + list(flat_ranks), v)
+
+rows = [(k, lr[kk][0], lrsp_max, lr[kk][1], lrsp_two)
+        for k, kk, (_, lrsp_max, lrsp_two) in zip(k_eq, matched, sparse)]
 print(f"{'delta':>6} {'equiv rank':>10} {'LR max':>10} {'LRSP max':>10} {'LR 2-norm':>10} {'LRSP 2-norm':>11}")
-for mult in range(2, 11):
-    pi, pj = radius_pairs(X, mult * cfg.sigma)
-    E = R0.copy()
-    E[pi, pj] = 0.0
-    k_eq = cost_equivalent_rank(100, X.n, len(pi))
-    lr_max, lr_two = lr_errors(min(int(round(k_eq)), X.n))
-    lrsp_max, lrsp_two = errors(E)
-    rows.append((k_eq, lr_max, lrsp_max, lr_two, lrsp_two))
-    print(f"{mult:>5}s {k_eq:>10.1f} {lr_max:>10.3e} {lrsp_max:>10.3e} {lr_two:>10.3e} {lrsp_two:>11.3e}")
+for mult, (k, lr_max, lrsp_max, lr_two, lrsp_two) in zip(mults, rows):
+    print(f"{mult:>5}s {k:>10.1f} {lr_max:>10.3e} {lrsp_max:>10.3e} {lr_two:>10.3e} {lrsp_two:>11.3e}")
 
 path = os.path.join(OUT, "lrsp_error_curves.csv")
 with open(path, "w") as fh:
@@ -66,7 +61,7 @@ with open(path, "w") as fh:
     for r in rows:
         fh.write(",".join(f"{x:.17g}" for x in r) + "\n")
 
-flat = [lr_errors(r)[0] for r in range(100, 661, 80)]
+flat = [lr[r][0] for r in flat_ranks]
 print(f"\nplain low-rank max-norm error across ranks 100..660: "
       f"{min(flat):.3e} .. {max(flat):.3e} (flat within x{max(flat)/min(flat):.2f})")
 print(f"-> {path}")

@@ -15,6 +15,7 @@ from .geometry import (
     PointSet,
     bandwidth_percentile,
     dist_to_set,
+    distance_matrix,
     generate_gaussian_cloud,
     load_csv,
     preset_observations,
@@ -48,7 +49,9 @@ from .lrsp import (
     error_max_norm,
     error_two_norm_randomized,
     lowrank_dense,
+    lowrank_sweep,
     lrsp_dense,
+    lrsp_sweep,
     nystrom_build,
     pattern_by_radius,
     sparse_correction,

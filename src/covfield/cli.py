@@ -29,10 +29,10 @@ from .errors import CovfieldError
 from .geometry import (
     PointSet,
     bandwidth_percentile,
+    distance_matrix,
     generate_gaussian_cloud,
     load_csv,
     preset_observations,
-    radius_pairs,
     standardize,
     subsample,
 )
@@ -215,69 +215,70 @@ def _cmd_svd(args) -> int:
     return 0
 
 
-def _parse_sweep(text: str, name: str) -> tuple[float, float, float]:
+def _parse_sweep(text: str, name: str, max_len: int) -> tuple[float, float, float, int]:
+    """lo, hi, step and length of a ``lo:hi:step`` sweep, which stands for
+    ``np.arange(lo, hi + 1e-9, step)``; the length is checked against
+    ``max_len`` before any caller builds it."""
     try:
         lo, hi, step = (float(t) for t in text.split(":"))
     except ValueError:
         raise CovfieldError(f"{name} must look like lo:hi:step, got {text!r}") from None
-    if step <= 0 or hi < lo:
-        raise CovfieldError(f"{name}: need step > 0 and hi >= lo")
-    return lo, hi, step
+    if not (lo <= hi < math.inf and 0 < step < math.inf):   # NaN fails too
+        raise CovfieldError(f"{name}: need finite lo <= hi and step > 0, got {text!r}")
+    count = math.ceil((hi + 1e-9 - lo) / step)   # the length np.arange takes
+    if count > max_len:
+        raise CovfieldError(f"{name}: {count} values, but at most {max_len} can differ")
+    return lo, hi, step, count
 
 
 def _cmd_lrsp(args) -> int:
     t0 = time.time()
-    X = generate_gaussian_cloud(args.n, args.d, args.seed)
+    n = args.n
+    # every flag is checked before any factor work; ranks round to integers
+    # in [1, n] and n points have at most n(n-1)/2 + 1 distinct radius
+    # patterns, so longer sweeps would only repeat rows
+    if not 1 <= args.r0 <= n:
+        raise CovfieldError(f"--r0 must lie in [1, n = {n}], got {args.r0}")
+    lo, hi, step, count = _parse_sweep(args.rank_sweep, "--rank-sweep", n)
+    # np.arange's i-th value is lo + i * ((lo + step) - lo), and ranks increase
+    for rank in (round(lo), round(lo + (count - 1) * ((lo + step) - lo))):
+        if not 1 <= rank <= n:
+            raise CovfieldError(f"--rank-sweep: rank {rank} outside [1, n = {n}]")
+    d_lo, d_hi, d_step, _ = _parse_sweep(
+        args.delta_sweep, "--delta-sweep", n * (n - 1) // 2 + 1)
+    if d_lo < 0:
+        raise CovfieldError(f"--delta-sweep: radii must be >= 0, got lo = {d_lo:g}")
     cfg = KernelConfig(sigma=args.sigma)
-    lo, hi, step = _parse_sweep(args.rank_sweep, "--rank-sweep")
     ranks = [int(round(rank)) for rank in np.arange(lo, hi + 1e-9, step)]
-    if not 1 <= args.r0 <= args.n:
-        raise CovfieldError(f"--r0 must lie in [1, n = {args.n}], got {args.r0}")
-    bad = [rank for rank in ranks if not 1 <= rank <= args.n]
-    if bad:
-        raise CovfieldError(f"--rank-sweep: rank {bad[0]} outside [1, n = {args.n}]")
+    radii = np.arange(d_lo, d_hi + 1e-9, d_step) * args.sigma
+
+    X = generate_gaussian_cloud(n, args.d, args.seed)
     # every rank is a prefix of one factor at the largest rank the run can
     # ask for; a pattern has at most n^2 entries, which bounds matched ranks
-    k_max = max(ranks + [math.ceil(lrsp_mod.cost_equivalent_rank(args.r0, args.n, args.n**2))])
-    perm = np.random.default_rng(args.seed + 1).permutation(args.n)
-    full = lrsp_mod.nystrom_build(X, perm[: min(k_max, args.n)], cfg)
+    k_max = max(ranks + [math.ceil(lrsp_mod.cost_equivalent_rank(args.r0, n, n**2))])
+    perm = np.random.default_rng(args.seed + 1).permutation(n)
+    full = lrsp_mod.nystrom_build(X, perm[: min(k_max, n)], cfg)
     K = kernel_matrix(X, X, cfg)
-    # the residual of the r0 factor: the LRSP correction is R0 itself on the
-    # pattern, so the LRSP error is R0 with the pattern zeroed
     R0 = K - lrsp_mod.lowrank_dense(full.prefix(args.r0))
-    v = np.random.default_rng(args.seed + 2).standard_normal(args.n)
-    vn = np.linalg.norm(v)
+    v = np.random.default_rng(args.seed + 2).standard_normal(n)
 
-    def errors(E: np.ndarray) -> tuple[float, float]:
-        return float(np.abs(E).max()), float(np.linalg.norm(E @ v) / vn)
+    # one pass per sweep, each overwriting one n x n buffer: the radius pass
+    # zeroes R0's nested patterns, then the rank pass downdates K through
+    # every swept and matched rank
+    sparse = lrsp_mod.lrsp_sweep(R0, distance_matrix(X), radii, v)
+    del R0
+    k_eq = [lrsp_mod.cost_equivalent_rank(args.r0, n, nnz) for nnz, _, _ in sparse]
+    matched = [min(int(round(k)), n) for k in k_eq]
+    lr = lrsp_mod.lowrank_sweep(K, full, ranks + matched, v)
 
-    def lr_errors(rank: int) -> tuple[float, float]:
-        return errors(K - lrsp_mod.lowrank_dense(full.prefix(rank)))
-
-    rows = []
-    for rank in ranks:
-        m, two = lr_errors(rank)
-        rows.append((float(rank), m, math.nan, two, math.nan))
-
-    lo, hi, step = _parse_sweep(args.delta_sweep, "--delta-sweep")
-    lr_cache: dict[int, tuple[float, float]] = {}
-    for mult in np.arange(lo, hi + 1e-9, step):
-        pi, pj = radius_pairs(X, mult * args.sigma)
-        E = R0.copy()
-        E[pi, pj] = 0.0
-        k_eq = lrsp_mod.cost_equivalent_rank(args.r0, args.n, len(pi))
-        kk = min(int(round(k_eq)), args.n)
-        if kk not in lr_cache:
-            lr_cache[kk] = lr_errors(kk)
-        lm, l2 = lr_cache[kk]
-        em, e2 = errors(E)
-        rows.append((k_eq, lm, em, l2, e2))
-
-    n = _write_csv(
+    rows = [(float(k), lr[k][0], math.nan, lr[k][1], math.nan) for k in ranks]
+    rows += [(k, lr[kk][0], em, lr[kk][1], e2)
+             for k, kk, (_, em, e2) in zip(k_eq, matched, sparse)]
+    n_rows = _write_csv(
         args.out, ["equiv_rank", "lr_max", "lrsp_max", "lr_2norm", "lrsp_2norm"],
         rows, not args.no_timestamp,
     )
-    _report(args.out, n, t0)
+    _report(args.out, n_rows, t0)
     return 0
 
 

@@ -83,15 +83,26 @@ def dist_to_set(x, S: PointSet) -> tuple[float, int]:
     return float(dists[i]), i
 
 
+def distance_matrix(X: PointSet, rows: slice = slice(None)) -> np.ndarray:
+    """Euclidean distances from the points ``X[rows]`` to every point of X.
+
+    These are the values ``radius_pairs`` compares with delta (``cdist``
+    evaluates each pair on its own, so a row block holds the same bits as the
+    same rows of the whole matrix): ``distance_matrix(X) <= delta`` is true
+    exactly at the pairs ``radius_pairs(X, delta)`` returns.
+    """
+    return cdist(X.coords[rows], X.coords)
+
+
 def radius_pairs(X: PointSet, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs ``(rows, cols)`` with ||x_i - x_j|| <= delta, diagonal
     included, sorted by row and then column; a brute-force scan over
-    ``_CHUNK``-row ``cdist`` blocks."""
+    ``_CHUNK``-row blocks of the distance matrix."""
     if not delta >= 0:
         raise ValueError("delta must be a nonnegative number")
     rows, cols = [], []
     for lo in range(0, X.n, _CHUNK):
-        r, c = np.nonzero(cdist(X.coords[lo: lo + _CHUNK], X.coords) <= delta)
+        r, c = np.nonzero(distance_matrix(X, slice(lo, lo + _CHUNK)) <= delta)
         rows.append(r + lo)
         cols.append(c)
     return np.concatenate(rows), np.concatenate(cols)

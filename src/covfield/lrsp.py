@@ -99,6 +99,67 @@ def lrsp_dense(factor: NystromFactor, correction: sp.csr_matrix) -> np.ndarray:
     return lowrank_dense(factor) + correction.toarray()
 
 
+def error_norms(E: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(max_ij |E_ij|, ||E v|| / ||v||) of an error matrix E.
+
+    The max is read as max(E.max(), -E.min()), bitwise equal to
+    ``np.abs(E).max()`` without its n x n temporary.
+    """
+    return float(max(E.max(), -E.min())), float(np.linalg.norm(E @ v) / np.linalg.norm(v))
+
+
+def lowrank_sweep(
+    K: np.ndarray, factor: NystromFactor, ranks, v: np.ndarray
+) -> dict[int, tuple[float, float]]:
+    """``error_norms`` of K - W_k^T W_k for every rank k in ``ranks``, keyed by k.
+
+    One pass of rank-block downdates: from E = K, the distinct ranks are
+    walked in ascending order and each step subtracts the syrk of the block
+    W[a:b] between two consecutive ranks, so the products cost n^2 k_max in
+    all rather than n^2 sum(k).  K is overwritten: on return it holds the
+    residual at the largest rank.  The sums round in another order than one
+    product of the whole prefix; on the ``lrsp`` defaults the errors move by
+    at most about 6e-16 relative.
+    """
+    todo = sorted({int(k) for k in ranks})
+    if todo and not 1 <= todo[0] <= todo[-1] <= factor.rank:
+        raise ValueError(f"ranks must lie in [1, {factor.rank}], got {todo[0]}..{todo[-1]}")
+    out = {}
+    a = 0
+    for k in todo:
+        B = factor.W[a:k]
+        K -= B.T @ B
+        out[k] = error_norms(K, v)
+        a = k
+    return out
+
+
+def lrsp_sweep(
+    R0: np.ndarray, D: np.ndarray, radii, v: np.ndarray
+) -> list[tuple[int, float, float]]:
+    """(nnz, *error_norms) of the LRSP error at each radius, in order.
+
+    R0 = K - W_0^T W_0 is the residual of the low-rank part, and the exact
+    sparse correction on the pattern {D <= delta} is R0 itself there, so the
+    error is R0 with the pattern zeroed.  D is ``geometry.distance_matrix``,
+    so each pattern is ``radius_pairs``'s and nnz counts its pairs.  The
+    radii must not decrease: the patterns then nest and each one is zeroed
+    in place on top of the last, with no copy of R0 and no pair list.  R0 is
+    overwritten: on return it holds the error at the last radius.
+    """
+    radii = np.asarray(radii, dtype=float)
+    if not np.all(radii >= 0):
+        raise ValueError("radii must be nonnegative numbers")
+    if np.any(np.diff(radii) < 0):
+        raise ValueError("radii must not decrease")
+    out = []
+    for delta in radii:
+        mask = D <= delta
+        np.copyto(R0, 0.0, where=mask)
+        out.append((int(np.count_nonzero(mask)), *error_norms(R0, v)))
+    return out
+
+
 def cost_equivalent_rank(r0: float, N: float, nnz: float) -> float:
     """Positive root k of k^2 + N k = r0^2 + N r0 + nnz.
 

@@ -243,6 +243,12 @@ def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int =
     tolerance, the true residual b - A x replaces it (residual replacement,
     van der Vorst & Ye 2000): the solve stops only if the true norm meets
     the tolerance too, and otherwise restarts from the true residual.
+
+    The solution is the best iterate known: if the solve reaches
+    ``max_iter`` after a check whose true residual was smaller than the
+    final iterate's, it returns the iterate of that check (one extra product
+    tells them apart; a solve that never failed a check needs none).
+    ``iterations`` still counts every iteration performed.
     Raises DivergenceError on non-finite iterates and on breakdown
     (p^T A p <= 0 or non-finite, which an indefinite system produces).
     """
@@ -258,6 +264,7 @@ def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int =
     z = precond_apply(res) if precond_apply else res.copy()
     p = z.copy()
     gamma = float(res @ z)
+    best, best_nr = None, np.inf   # the iterate of the best failed check
     it = 0
     while it < max_iter:
         Ap = A(p)
@@ -281,12 +288,17 @@ def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int =
             nr = hist[-1] = float(np.linalg.norm(res))
             if nr <= tol_abs:
                 break
+            if nr < best_nr:
+                best, best_nr = x.copy(), nr
             gamma = np.inf
         z = precond_apply(res) if precond_apply else res.copy()
         gamma_new = float(res @ z)
         beta = gamma_new / gamma
         gamma = gamma_new
         p = z + beta * p
+    else:   # max_iter reached without a passing check
+        if best is not None and best_nr < np.linalg.norm(b - A(x)):
+            x = best
     return x, it, np.array(hist)
 
 

@@ -14,6 +14,7 @@ from covfield import (
     pattern_by_radius,
     sparse_correction,
 )
+from covfield import lrsp as lrsp_mod
 from covfield.cli import _write_csv, run
 
 
@@ -196,6 +197,27 @@ class TestLrspCommand:
         out = tmp_path / "l.csv"
         assert run(["lrsp", *flags, "--out", str(out)]) == 1
         flag = "--rank-sweep" if "--rank-sweep" in flags else "--r0"
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta-sweep", "1:x:1"),           # malformed
+        ("--delta-sweep", "-1:3:1"),          # a negative radius
+        ("--delta-sweep", "nan:3:1"),
+        ("--delta-sweep", "0:1e12:1"),        # more radii than distinct patterns
+        ("--rank-sweep", "100:1100:100"),     # its last rank is above n
+        ("--rank-sweep", "100:1e9:1"),        # would build 1e9 ranks
+        ("--rank-sweep", "100:600:0.25"),     # more ranks than n
+        ("--rank-sweep", "100:inf:40"),
+    ])
+    def test_bad_sweep_fails_before_any_work(self, tmp_path, capsys, monkeypatch, flag, value):
+        def never(*args, **kwargs):
+            raise AssertionError("reached past the flag checks")
+
+        monkeypatch.setattr(lrsp_mod, "nystrom_build", never)
+        monkeypatch.setattr(np, "arange", never)   # no sweep is built either
+        out = tmp_path / "l.csv"
+        assert run(["lrsp", f"{flag}={value}", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag}")
         assert not out.exists()
 

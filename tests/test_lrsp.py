@@ -6,6 +6,7 @@ from covfield import (
     KernelConfig,
     PointSet,
     cost_equivalent_rank,
+    distance_matrix,
     error_max_norm,
     error_two_norm_randomized,
     generate_gaussian_cloud,
@@ -13,11 +14,15 @@ from covfield import (
     kernel_eval,
     kernel_matrix,
     lowrank_dense,
+    lowrank_sweep,
     lrsp_dense,
+    lrsp_sweep,
     nystrom_build,
     pattern_by_radius,
     sparse_correction,
 )
+from covfield.geometry import radius_pairs
+from covfield.lrsp import error_norms
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +203,87 @@ class TestSparseCorrection:
             corr = sparse_correction(cloud, cloud_factor, pat, cloud_cfg)
             errs.append(error_max_norm(cloud, cloud_cfg, lrsp_dense(cloud_factor, corr)))
         assert errs[0] >= errs[1] >= errs[2]
+
+
+@pytest.fixture(scope="module")
+def sweep_case():
+    X = generate_gaussian_cloud(300, 3, 21)
+    cfg = KernelConfig(sigma=0.5)
+    full = nystrom_build(X, np.random.default_rng(22).permutation(X.n)[:200], cfg)
+    v = np.random.default_rng(23).standard_normal(X.n)
+    return X, cfg, full, v
+
+
+class TestSweeps:
+    def test_error_norms_max_is_abs_max(self):
+        E = np.random.default_rng(5).standard_normal((40, 40))
+        for M in (E, -E, np.abs(E), -np.abs(E)):
+            assert error_norms(M, np.ones(40))[0] == np.abs(M).max()
+
+    def test_lowrank_sweep_matches_prefix_products(self, sweep_case):
+        X, cfg, full, v = sweep_case
+        K = kernel_matrix(X, X, cfg)
+        # unsorted, with a repeat, and the last rank of the factor
+        ranks = [120, 7, 60, 7, 200, 1, 61]
+        got = lowrank_sweep(K.copy(), full, ranks, v)
+        assert sorted(got) == sorted(set(ranks))
+        for k in set(ranks):
+            E = K - lowrank_dense(full.prefix(k))
+            want_max, want_two = np.abs(E).max(), np.linalg.norm(E @ v) / np.linalg.norm(v)
+            assert got[k][0] == pytest.approx(want_max, rel=0, abs=1e-12)
+            assert got[k][1] == pytest.approx(want_two, rel=0, abs=1e-12)
+
+    def test_lowrank_sweep_leaves_largest_residual(self, sweep_case):
+        X, cfg, full, v = sweep_case
+        K = kernel_matrix(X, X, cfg)
+        E = K.copy()
+        lowrank_sweep(E, full, [30, 90], v)
+        np.testing.assert_allclose(E, K - lowrank_dense(full.prefix(90)), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(E, E.T)   # every block product is a syrk
+
+    def test_lowrank_sweep_rank_range(self, sweep_case):
+        X, cfg, full, v = sweep_case
+        K = kernel_matrix(X, X, cfg)
+        for ranks in ([0, 10], [10, full.rank + 1]):
+            with pytest.raises(ValueError):
+                lowrank_sweep(K, full, ranks, v)
+        assert lowrank_sweep(K, full, [], v) == {}
+
+    def test_masks_are_radius_pairs(self):
+        X = generate_gaussian_cloud(400, 3, 24)
+        D = distance_matrix(X)
+        diam = D.max()
+        for delta in (0.0, 0.2, 0.5, 1.3, diam, 2 * diam):
+            rows, cols = radius_pairs(X, delta)
+            np.testing.assert_array_equal(np.nonzero(D <= delta), (rows, cols))
+        R = np.ones((X.n, X.n))
+        radii = [0.0, 0.5, diam]
+        nnz = [m for m, _, _ in lrsp_sweep(R, D, radii, np.ones(X.n))]
+        assert nnz == [len(radius_pairs(X, delta)[0]) for delta in radii]
+        assert nnz[0] == X.n and nnz[-1] == X.n**2
+
+    def test_lrsp_sweep_is_copy_and_scatter(self, sweep_case):
+        # bit for bit: zeroing nested patterns in place equals zeroing each
+        # pattern of a fresh copy of R0
+        X, cfg, full, v = sweep_case
+        R0 = kernel_matrix(X, X, cfg) - lowrank_dense(full.prefix(40))
+        radii = [0.0, 0.25, 0.25, 0.5, 1.0, 1.5]
+        got = lrsp_sweep(R0.copy(), distance_matrix(X), radii, v)
+        for delta, (nnz, m, two) in zip(radii, got):
+            rows, cols = radius_pairs(X, delta)
+            E = R0.copy()
+            E[rows, cols] = 0.0
+            assert nnz == len(rows)
+            assert m == float(np.abs(E).max())
+            assert two == float(np.linalg.norm(E @ v) / np.linalg.norm(v))
+
+    @pytest.mark.parametrize("radii", [[0.5, 0.2], [0.1, 0.3, 0.2], [-0.1, 0.2], [0.1, np.nan]])
+    def test_lrsp_sweep_rejects_bad_radii(self, radii):
+        X = generate_gaussian_cloud(20, 2, 25)
+        R = np.ones((X.n, X.n))
+        with pytest.raises(ValueError):
+            lrsp_sweep(R, distance_matrix(X), radii, np.ones(X.n))
+        assert (R == 1.0).all()   # rejected before any entry is zeroed
 
 
 class TestCostEquivalentRank:

@@ -315,6 +315,59 @@ class TestPcg:
         assert hist[-1] <= 1e-10 and len(hist) == iters
         assert iters > pcg(A, b, tol_abs=1e-10)[1]
 
+    def test_returns_best_checked_iterate(self):
+        # the drifted first product makes the check after iteration 29 fail
+        # (true residual 4.3e-4) and restart; the product right after the
+        # restart is 100x too small, so the step overshoots and the iterate at
+        # max_iter is worse: the checked iterate comes back, and iterations
+        # still counts all 30
+        A = np.diag(np.arange(1.0, 21.0))
+        b = np.ones(20)
+        seen = []
+
+        def op(v):
+            seen.append(v.copy())
+            y = A @ v
+            if len(seen) == 1:
+                y += 1e-3
+            if len(seen) == 31:
+                y *= 0.01
+            return y
+
+        x, iters, hist = pcg(op, b, tol_abs=1e-10, max_iter=30)
+        assert iters == len(hist) == 30
+        assert len(seen) == 32   # 30 iterations, the check, one final product
+        checked, last = seen[29], seen[31]
+        assert hist[28] == np.linalg.norm(b - A @ checked) > 1e-10
+        assert np.linalg.norm(b - A @ last) > 100 * hist[28]
+        np.testing.assert_array_equal(x, checked)
+
+    def test_keeps_last_iterate_when_better(self):
+        # the same failed check, no overshoot: at max_iter the last iterate
+        # is better than the checked one and is returned
+        A = np.diag(np.arange(1.0, 21.0))
+        b = np.ones(20)
+        seen = []
+
+        def op(v):
+            seen.append(v.copy())
+            return A @ v + (1e-3 if len(seen) == 1 else 0.0)
+
+        x, iters, hist = pcg(op, b, tol_abs=1e-10, max_iter=35)
+        np.testing.assert_array_equal(x, seen[-1])
+        assert np.linalg.norm(b - A @ x) < hist[28] / 10
+
+    def test_no_extra_product_without_a_failed_check(self):
+        A = np.diag(np.arange(1.0, 21.0))
+        calls = []
+
+        def op(v):
+            calls.append(1)
+            return A @ v
+
+        _, iters, _ = pcg(op, np.ones(20), tol_abs=1e-14, max_iter=5)
+        assert iters == len(calls) == 5
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             pcg(np.eye(3), np.ones(3), tol_abs=0.0)
