@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .geometry import PointSet, as_point
-from .kernel import kernel_eval, kernel_matrix
+from .kernel import _pair_kernel, kernel_matrix
 from .posterior import PosteriorModel
 
 CURVE_KINDS = ("upper", "lower", "distance")
@@ -42,7 +43,7 @@ def _branch_terms(model: PosteriorModel, x, y) -> tuple[float, float]:
     branch_x = math.exp(-_sq(tx.dist / s2)) * ty.wnorm   # rho_hat from x, weights at y
     branch_y = math.exp(-_sq(ty.dist / s2)) * tx.wnorm
     correction = model.cfg.beta * math.sqrt(model.r) * min(branch_x, branch_y)
-    return kernel_eval(px, py, model.cfg), correction
+    return _pair_kernel(px, py, model.cfg), correction
 
 
 def upper_bound_small(model: PosteriorModel, x, y) -> float:
@@ -127,8 +128,8 @@ def estimate_curve(
         raise ValueError("condition region contains no grid points")
 
     if kind == "distance":
-        # per grid point: norm of each difference to S, then the min, as in dist_to_set
-        curve = np.linalg.norm(grid.coords[:, None, :] - model.S.coords, axis=2).min(axis=1)
+        # the distances dist_to_set takes the min of, one grid point per row
+        curve = cdist(grid.coords, model.S.coords).min(axis=1)
     else:
         kern = kernel_matrix(grid, PointSet(ys[None, :]), cfg)[:, 0]
         ty = model._point(ys)[1]

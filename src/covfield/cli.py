@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
@@ -44,16 +45,17 @@ GP_DEMO_SIGMA = 0.06332725946674625
 PRECOND_DEFAULT_TAU = 0.004   # nugget for the benchmark systems (tau^2 = 1.6e-5)
 BOUNDS_DEFAULT_SIGMA = {1: 0.05, 2: 0.05, 3: 0.4}
 DISK_RADIUS = 0.4
+_FLOAT_FMT = "%.17g"   # every float cell: 17 significant digits
 
 
 def _fmt(v) -> str:
-    if type(v) is float:
-        return f"{v:.17g}"
-    if isinstance(v, str):
+    if isinstance(v, str):   # a cell formatted by the caller
         return v
+    if type(v) is float:
+        return _FLOAT_FMT % v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return f"{float(v):.17g}"
+    return _FLOAT_FMT % float(v)
 
 
 def _write_csv(path, header, rows, timestamp: bool) -> int:
@@ -82,6 +84,17 @@ def _unit_grid(n: int) -> PointSet:
     return PointSet(np.linspace(0.0, 1.0, n)[:, None])
 
 
+def _grid_rows(g: PointSet, *mats: np.ndarray):
+    """Rows ``(x_i, x_j, M[i, j] for M in mats)`` over every grid pair, as
+    text cells: each coordinate is formatted once per run and each matrix
+    row with one ``map``.  Rows are made one grid row at a time, since the
+    whole grid as text would hold several times the memory of the matrices."""
+    xs = list(map(_FLOAT_FMT.__mod__, g.coords[:, 0].tolist()))
+    for i, x in enumerate(xs):
+        cells = (map(_FLOAT_FMT.__mod__, M[i].tolist()) for M in mats)
+        yield from zip(repeat(x), xs, *cells)
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -93,11 +106,7 @@ def _cmd_field(args) -> int:
     model = fit(S, KernelConfig(sigma=args.sigma, tau=args.tau))
     g = _unit_grid(args.grid)
     R = np.abs(model.cov_matrix(g, g))
-    xs = g.coords[:, 0].tolist()
-    # one grid row of Python floats at a time: the whole grid as lists would
-    # hold several times the memory of R
-    rows = ((x, y, v) for x, Ri in zip(xs, R) for y, v in zip(xs, Ri.tolist()))
-    n = _write_csv(args.out, ["x", "y", "value"], rows, not args.no_timestamp)
+    n = _write_csv(args.out, ["x", "y", "value"], _grid_rows(g, R), not args.no_timestamp)
     _report(args.out, n, t0)
     return 0
 
@@ -164,14 +173,9 @@ def _cmd_estimate(args) -> int:
     model = fit(S, KernelConfig(sigma=args.sigma))
     g = _unit_grid(args.grid)
     R = np.abs(model.cov_matrix(g, g))
-    xs = g.coords[:, 0].tolist()
     field = est.absolute_field(est.estimator_field(g, S, args.sigma), float(R.max()))
-    rows = (
-        (x, y, v, f)
-        for x, Ri, Fi in zip(xs, R, field)
-        for y, v, f in zip(xs, Ri.tolist(), Fi.tolist())
-    )
-    n = _write_csv(args.out, ["x", "y", "exact", "estimate"], rows, not args.no_timestamp)
+    n = _write_csv(args.out, ["x", "y", "exact", "estimate"], _grid_rows(g, R, field),
+                   not args.no_timestamp)
     _report(args.out, n, t0)
     return 0
 
@@ -401,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--r0", type=int, default=100)
-    p.add_argument("--delta-sweep", default="1:10:1", help="lo:hi:step in units of sigma")
+    p.add_argument("--delta-sweep", default="1:10:1",
+                   help="lo:hi:step in units of sigma; write a value that starts "
+                        "with '-' as --delta-sweep=-1:3:1")
     p.add_argument("--rank-sweep", default="100:660:40")
     _add_common(p)
     p.set_defaults(func=_cmd_lrsp)

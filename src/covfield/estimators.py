@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateDataError, UnsupportedDimensionError
-from .geometry import PointSet, as_point
+from .geometry import PointSet, as_point, sq_dists
 from .kernel import KernelConfig, kernel_matrix
 from .posterior import PosteriorModel
 
@@ -32,11 +32,10 @@ class DistMetrics(NamedTuple):
 
 
 def _dists_to_obs(x: np.ndarray, S: PointSet) -> np.ndarray:
-    """All r distances from x to the observation points (the O(r) kernel all
-    estimators are built from): ``np.linalg.norm(S.coords - x, axis=1)``
-    without its argument dispatch."""
-    t = S.coords - x
-    return np.sqrt(np.add.reduce(t * t, axis=1))
+    """All r distances from the point x to the observation points (the O(r)
+    kernel all estimators are built from), the values ``dist_to_set`` takes
+    the min of."""
+    return np.sqrt(sq_dists(x, S.coords))
 
 
 def dist_metrics(x, S: PointSet, sigma: float) -> DistMetrics:
@@ -138,7 +137,7 @@ def variance_estimator_large(x, refs: ReferencePointSet, S: PointSet, cfg: Kerne
     if refs.points.n < 1:
         raise ValueError("reference set is empty")
     p = as_point(x, S.d)
-    iz = int(np.argmin(np.linalg.norm(refs.points.coords - p, axis=1)))
+    iz = int(_dists_to_obs(p, refs.points).argmin())
     z = refs.points.coords[iz]
     dx = float(_dists_to_obs(p, S).min())
     dz = float(_dists_to_obs(z, S).min())

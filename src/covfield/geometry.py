@@ -70,15 +70,29 @@ def as_point(x, d: int | None = None) -> np.ndarray:
     return p
 
 
+def sq_dists(p: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Squared distances from the point ``p`` (length d) to every row of the
+    (n, d) array ``C``: every distance to a point set is built from these.
+
+    They accumulate one coordinate column at a time, the order
+    ``cdist(..., "sqeuclidean")`` uses, so they equal
+    ``cdist(p[None], C, "sqeuclidean")[0]`` bit for bit at every d.
+    """
+    t = C[:, 0] - p[0]
+    sq = t * t
+    for k in range(1, C.shape[1]):
+        t = C[:, k] - p[k]
+        sq += t * t
+    return sq
+
+
 def dist_to_set(x, S: PointSet) -> tuple[float, int]:
     """Distance from ``x`` to the nearest point of ``S``.
 
     Returns ``(value, index)`` where ``index`` is the argmin (ties broken by
     the lowest index, as ``argmin`` does).
     """
-    t = S.coords - as_point(x, S.d)
-    # np.linalg.norm(t, axis=1) evaluates exactly this, after its argument dispatch
-    dists = np.sqrt(np.add.reduce(t * t, axis=1))
+    dists = np.sqrt(sq_dists(as_point(x, S.d), S.coords))
     i = int(dists.argmin())
     return float(dists[i]), i
 

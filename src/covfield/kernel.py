@@ -36,25 +36,20 @@ class KernelConfig:
 def kernel_eval(u, v, cfg: KernelConfig) -> float:
     """beta * exp(-||u-v||^2 / (2 sigma^2)) for two points of equal dimension."""
     pu = as_point(u)
-    t = pu - as_point(v, pu.shape[0])
+    return _pair_kernel(pu, as_point(v, pu.shape[0]), cfg)
+
+
+def _pair_kernel(pu: np.ndarray, pv: np.ndarray, cfg: KernelConfig) -> float:
+    """``kernel_eval`` for two coerced points of equal dimension."""
+    t = pu - pv
     sq = float(np.add.reduce(t * t))
     return cfg.beta * math.exp(-sq / (2.0 * cfg.sigma**2))
 
 
-def _kernel_row(p: np.ndarray, C: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Kernel values between the point ``p`` (length d) and every row of the
-    (n, d) array ``C``, without building point sets.
-
-    The squared distance accumulates one coordinate column at a time, the
-    order ``cdist(..., "sqeuclidean")`` uses, so the row equals
-    ``kernel_matrix(PointSet(C), PointSet(p[None]), cfg)[:, 0]`` bit for bit.
-    """
-    if not all(map(math.isfinite, p.tolist())):
-        raise ValueError("coordinates must be finite")
-    sq = np.zeros(C.shape[0])
-    for k in range(C.shape[1]):
-        t = C[:, k] - p[k]
-        sq += t * t
+def _kernel_row(sq: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+    """Kernel values for the squared distances ``sq`` from one point to the
+    rows of an array, as ``geometry.sq_dists`` forms them; the row then
+    equals the matching column of ``kernel_matrix`` bit for bit."""
     return cfg.beta * np.exp(-sq / (2.0 * cfg.sigma**2))
 
 

@@ -26,8 +26,8 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrs
 
 from .errors import IllConditionedKernelError, NumericalConsistencyError
-from .geometry import PointSet, as_point, dist_to_set
-from .kernel import KernelConfig, _kernel_row, kernel_eval, kernel_matrix
+from .geometry import PointSet, as_point, sq_dists
+from .kernel import KernelConfig, _kernel_row, _pair_kernel, kernel_matrix
 
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
@@ -96,7 +96,11 @@ class PosteriorModel:
         terms = self._memo.get(key)
         if terms is not None:
             return p, terms
-        k = _kernel_row(p, self.S.coords, self.cfg)
+        if not all(map(math.isfinite, p.tolist())):
+            raise ValueError("coordinates must be finite")
+        # one pass over S gives both the kernel row and dist(p, S)
+        sq = sq_dists(p, self.S.coords)
+        k = _kernel_row(sq, self.cfg)
         j = self._lookup_obs(p) if self._exact_at_obs else None
         if j is not None:
             w = np.zeros(self.r)
@@ -106,7 +110,8 @@ class PosteriorModel:
             w, info = dpotrs(self.chol, k, lower=1)
             if info != 0:
                 raise NumericalConsistencyError(f"dpotrs failed with info = {info}")
-        terms = PointTerms(k, w, dist_to_set(p, self.S)[0], math.sqrt(float(w @ w)))
+        # sqrt is monotone and correctly rounded: sqrt(min sq) is min sqrt(sq)
+        terms = PointTerms(k, w, math.sqrt(min(sq.tolist())), math.sqrt(float(w @ w)))
         if len(self._memo) >= _MEMO_SIZE:
             self._memo.clear()
         self._memo[key] = terms
@@ -124,9 +129,9 @@ class PosteriorModel:
         """
         px, tx = self._point(x)
         py, ty = self._point(y)
-        if tuple(py) > tuple(px):
+        if py.tolist() > px.tolist():
             px, py, tx, ty = py, px, ty, tx
-        return kernel_eval(px, py, self.cfg) - float(tx.k @ ty.w)
+        return _pair_kernel(px, py, self.cfg) - float(tx.k @ ty.w)
 
     def whitened_cross(self, X: PointSet) -> np.ndarray:
         """The whitened cross-kernel A_X = L^{-1} K_SX (r x |X|), L = ``chol``,

@@ -321,7 +321,9 @@ def run_methods(
     Solves (K_XX + tau^2 I) z = b with b seeded standard normal scaled to
     unit norm, so the absolute tolerance reads as a relative one.  The
     reference solution for the relative-error column comes from a dense
-    Cholesky solve.  Returns one dict per method with keys
+    Cholesky solve, which raises ``IllConditionedKernelError`` before any
+    PCG when the system is not numerically positive definite.  Returns one
+    dict per method with keys
     method/iterations/rel_err/residual/fsai_nnz_fraction.
     """
     n = X.n
@@ -330,7 +332,15 @@ def run_methods(
         A[np.diag_indices(n)] += cfg.tau**2
     b = np.random.default_rng(rhs_seed).standard_normal(n)
     b /= np.linalg.norm(b)
-    z_ref = cho_solve((np.linalg.cholesky(A), True), b)
+    # no jitter here: a jittered reference would move what rel_err measures;
+    # the factor stays a temporary, so it is freed before the solves
+    try:
+        z_ref = cho_solve((np.linalg.cholesky(A), True), b)
+    except np.linalg.LinAlgError:
+        raise IllConditionedKernelError(
+            f"reference Cholesky failed: the {n} x {n} system K + tau^2 I is not "
+            f"positive definite at tau = {cfg.tau:g} (repeated points need tau > 0)"
+        ) from None
     z_norm = np.linalg.norm(z_ref)
 
     # methods 2 and 3 share one landmark split and differ only in the pattern

@@ -6,16 +6,22 @@ import pytest
 
 from covfield import (
     KernelConfig,
+    PointSet,
+    absolute_field,
     cost_equivalent_rank,
+    estimator_field,
+    fit,
     generate_gaussian_cloud,
     kernel_matrix,
     lrsp_dense,
     nystrom_build,
     pattern_by_radius,
+    preset_observations,
     sparse_correction,
 )
 from covfield import lrsp as lrsp_mod
-from covfield.cli import _write_csv, run
+from covfield import precond as precond_mod
+from covfield.cli import _grid_rows, _write_csv, run
 
 
 def read_csv(path):
@@ -69,6 +75,46 @@ class TestWriteCsv:
         assert out.read_bytes() == ("c," * (len(row) - 1) + "c\n" + 2 * line).encode()
         assert line == ("obs,3,-4,0.10000000000000001,0.66666666666666663,"
                         "nan,inf,-inf,-0,-0,1e-300\n")
+
+
+class TestGridCsv:
+    """The grid CSVs against rows formatted one cell at a time."""
+
+    @staticmethod
+    def per_cell(header, xs, *mats):
+        lines = [",".join(header)]
+        lines += [",".join(f"{v:.17g}" for v in (x, y, *(M[i, j] for M in mats)))
+                  for i, x in enumerate(xs) for j, y in enumerate(xs)]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_field_bytes(self, tmp_path, tau):
+        out = tmp_path / "f.csv"
+        assert run(["field", "--preset", "nonuniform1d", "--sigma", "0.1", "--tau", str(tau),
+                    "--grid", "9", "--out", str(out), "--no-timestamp"]) == 0
+        g = PointSet(np.linspace(0.0, 1.0, 9)[:, None])
+        model = fit(preset_observations("nonuniform1d"), KernelConfig(sigma=0.1, tau=tau))
+        R = np.abs(model.cov_matrix(g, g))
+        assert out.read_bytes() == self.per_cell(["x", "y", "value"], g.coords[:, 0], R)
+
+    def test_estimate_bytes(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert run(["estimate", "--preset", "nonuniform1d", "--sigma", "0.1",
+                    "--grid", "9", "--out", str(out), "--no-timestamp"]) == 0
+        g = PointSet(np.linspace(0.0, 1.0, 9)[:, None])
+        S = preset_observations("nonuniform1d")
+        R = np.abs(fit(S, KernelConfig(sigma=0.1)).cov_matrix(g, g))
+        F = absolute_field(estimator_field(g, S, 0.1), float(R.max()))
+        want = self.per_cell(["x", "y", "exact", "estimate"], g.coords[:, 0], R, F)
+        assert out.read_bytes() == want
+
+    def test_rows_of_unsymmetric_matrices(self, tmp_path):
+        g = PointSet(np.array([[0.0], [0.1], [1.0 / 3.0]]))
+        A = np.arange(9.0).reshape(3, 3) / 7.0
+        B = np.array([[math.nan, math.inf, -0.0], [1e-300, -2.5, 0.1], [3.0, 4.0, 5.0]])
+        out = tmp_path / "g.csv"
+        assert _write_csv(out, ["x", "y", "a", "b"], _grid_rows(g, A, B), False) == 9
+        assert out.read_bytes() == self.per_cell(["x", "y", "a", "b"], g.coords[:, 0], A, B)
 
 
 class TestUsageAndErrors:
@@ -222,6 +268,21 @@ class TestLrspCommand:
         assert not out.exists()
 
 
+    def test_negative_sweep_value_needs_equals(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("reached past the flag checks")
+
+        monkeypatch.setattr(lrsp_mod, "nystrom_build", never)
+        out = tmp_path / "l.csv"
+        # with a space, argparse reads the value as another option: usage error
+        assert run(["lrsp", "--delta-sweep", "-1:3:1", "--out", str(out)]) == 2
+        assert "--delta-sweep" in capsys.readouterr().err
+        # with '=', the value reaches the named check
+        assert run(["lrsp", "--delta-sweep=-1:3:1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --delta-sweep: radii must be >= 0")
+        assert not out.exists()
+
+
 class TestPrecondCommand:
     def test_benchmark_instance(self, tmp_path):
         # the documented benchmark instance: seed 42, defaults everywhere
@@ -244,3 +305,21 @@ class TestPrecondCommand:
                     "--out", str(out), "--no-timestamp"]) == 0
         _, rows = read_csv(out)
         assert float(rows[2][3]) <= 1e-5
+
+    def test_singular_reference_solve_is_named(self, tmp_path, capsys, monkeypatch):
+        # tau = 0 with every row twice: K is singular, so the dense reference
+        # Cholesky fails, and it is named before any PCG runs
+        def never(*args, **kwargs):
+            raise AssertionError("PCG ran")
+
+        monkeypatch.setattr(precond_mod, "pcg", never)
+        data = tmp_path / "dup.csv"
+        X = np.random.default_rng(0).standard_normal((300, 3))
+        np.savetxt(data, np.repeat(X, 2, axis=0), delimiter=",")
+        out = tmp_path / "p.csv"
+        assert run(["precond", "--data", str(data), "--tau", "0",
+                    "--out", str(out), "--no-timestamp"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: reference Cholesky failed")
+        assert "600 x 600" in err and "tau = 0" in err
+        assert not out.exists()

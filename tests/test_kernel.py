@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from covfield import KernelConfig, PointSet, kernel_eval, kernel_matrix, lipschitz_bound
+from covfield import KernelConfig, PointSet, fit, kernel_eval, kernel_matrix, lipschitz_bound
+from covfield.geometry import sq_dists
 from covfield.kernel import _kernel_row
 
 
@@ -103,14 +104,15 @@ class TestKernelRow:
         S = PointSet(rng.standard_normal((9, d)))
         for p in rng.standard_normal((50, d)):
             want = kernel_matrix(S, PointSet(p[None, :]), cfg)[:, 0]
-            got = _kernel_row(p, S.coords, cfg)
+            got = _kernel_row(sq_dists(p, S.coords), cfg)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_non_finite_point(self):
-        S = np.zeros((3, 2))
+        # a memo miss checks the point before it forms the kernel row
+        model = fit(PointSet(np.eye(3, 2)), KernelConfig(sigma=1.0))
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
-                _kernel_row(np.array([0.0, bad]), S, KernelConfig(sigma=1.0))
+                model._point(np.array([0.0, bad]))
 
 
 class TestLipschitzBound:
