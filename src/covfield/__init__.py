@@ -46,8 +46,6 @@ from .estimators import (
 from .lrsp import (
     NystromFactor,
     cost_equivalent_rank,
-    error_max_norm,
-    error_two_norm_randomized,
     lowrank_dense,
     lowrank_sweep,
     lrsp_dense,

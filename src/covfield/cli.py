@@ -9,6 +9,9 @@ Conventions shared by all subcommands:
   line can be suppressed with ``--no-timestamp``;
 * heatmaps are long-form (x, y, value) - plotting is left to external tools;
 * exit codes: 0 success, 2 usage error, 1 runtime error.
+
+Each ``_cmd_*`` function computes its table and returns ``(header, rows)``
+without any I/O; ``run`` writes every CSV and prints the one report line.
 """
 
 from __future__ import annotations
@@ -70,10 +73,6 @@ def _write_csv(path, header, rows, timestamp: bool) -> int:
     return n
 
 
-def _report(path, nrows, t0) -> None:
-    print(f"wrote {nrows} rows to {path} in {time.time() - t0:.2f} s")
-
-
 def _load_observations(args) -> PointSet:
     if getattr(args, "obs", None):
         return load_csv(args.obs)
@@ -98,17 +97,14 @@ def _grid_rows(g: PointSet, *mats: np.ndarray):
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_field(args) -> int:
-    t0 = time.time()
+def _cmd_field(args):
     S = _load_observations(args)
     if S.d != 1:
         raise CovfieldError("field expects 1-d observations")
     model = fit(S, KernelConfig(sigma=args.sigma, tau=args.tau))
     g = _unit_grid(args.grid)
     R = np.abs(model.cov_matrix(g, g))
-    n = _write_csv(args.out, ["x", "y", "value"], _grid_rows(g, R), not args.no_timestamp)
-    _report(args.out, n, t0)
-    return 0
+    return ["x", "y", "value"], _grid_rows(g, R)
 
 
 def _disk_points(rng, count: int) -> np.ndarray:
@@ -120,8 +116,7 @@ def _disk_points(rng, count: int) -> np.ndarray:
     return pts[:count]
 
 
-def _cmd_field2d(args) -> int:
-    t0 = time.time()
+def _cmd_field2d(args):
     rng = np.random.default_rng(args.seed)
     S = PointSet(_disk_points(rng, args.n_obs))
     xstar = _disk_points(rng, 1)[0]
@@ -134,13 +129,10 @@ def _cmd_field2d(args) -> int:
     rows = [("xstar", xstar[0], xstar[1], math.nan)]
     rows += [("obs", p[0], p[1], math.nan) for p in S.coords]
     rows += [("field", p[0], p[1], v) for p, v in zip(pts, vals)]
-    n = _write_csv(args.out, ["kind", "y1", "y2", "value"], rows, not args.no_timestamp)
-    _report(args.out, n, t0)
-    return 0
+    return ["kind", "y1", "y2", "value"], rows
 
 
-def _cmd_bounds(args) -> int:
-    t0 = time.time()
+def _cmd_bounds(args):
     sigma = args.sigma if args.sigma is not None else BOUNDS_DEFAULT_SIGMA[args.condition]
     S = _load_observations(args)
     model = fit(S, KernelConfig(sigma=sigma))
@@ -158,30 +150,19 @@ def _cmd_bounds(args) -> int:
          curves["upper"][i], curves["lower"][i], curves["distance"][i])
         for i in range(g.n)
     )
-    n = _write_csv(
-        args.out,
-        ["x", "in_region", "exact_abs", "upper_curve", "lower_curve", "distance_curve"],
-        rows, not args.no_timestamp,
-    )
-    _report(args.out, n, t0)
-    return 0
+    return ["x", "in_region", "exact_abs", "upper_curve", "lower_curve", "distance_curve"], rows
 
 
-def _cmd_estimate(args) -> int:
-    t0 = time.time()
+def _cmd_estimate(args):
     S = _load_observations(args)
     model = fit(S, KernelConfig(sigma=args.sigma))
     g = _unit_grid(args.grid)
     R = np.abs(model.cov_matrix(g, g))
     field = est.absolute_field(est.estimator_field(g, S, args.sigma), float(R.max()))
-    n = _write_csv(args.out, ["x", "y", "exact", "estimate"], _grid_rows(g, R, field),
-                   not args.no_timestamp)
-    _report(args.out, n, t0)
-    return 0
+    return ["x", "y", "exact", "estimate"], _grid_rows(g, R, field)
 
 
-def _cmd_gp_demo(args) -> int:
-    t0 = time.time()
+def _cmd_gp_demo(args):
     rng = np.random.default_rng(args.seed)
     sx = np.sort(rng.uniform(0.0, 1.0, args.n_obs))
     S = PointSet(sx[:, None])
@@ -198,25 +179,14 @@ def _cmd_gp_demo(args) -> int:
     rows += [
         ("curve", g.coords[i, 0], mean[i], true_std[i], est_std[i]) for i in range(g.n)
     ]
-    n = _write_csv(
-        args.out, ["kind", "x", "mean_or_value", "true_std", "est_std"],
-        rows, not args.no_timestamp,
-    )
-    _report(args.out, n, t0)
-    return 0
+    return ["kind", "x", "mean_or_value", "true_std", "est_std"], rows
 
 
-def _cmd_svd(args) -> int:
-    t0 = time.time()
+def _cmd_svd(args):
     X = _unit_grid(args.equispaced)
     K = kernel_matrix(X, X, KernelConfig(sigma=args.sigma))
     s = np.linalg.svd(K, compute_uv=False)[: args.k]
-    n = _write_csv(
-        args.out, ["index", "value"],
-        ((i + 1, s[i]) for i in range(len(s))), not args.no_timestamp,
-    )
-    _report(args.out, n, t0)
-    return 0
+    return ["index", "value"], ((i + 1, s[i]) for i in range(len(s)))
 
 
 def _parse_sweep(text: str, name: str, max_len: int) -> tuple[float, float, float, int]:
@@ -235,8 +205,7 @@ def _parse_sweep(text: str, name: str, max_len: int) -> tuple[float, float, floa
     return lo, hi, step, count
 
 
-def _cmd_lrsp(args) -> int:
-    t0 = time.time()
+def _cmd_lrsp(args):
     n = args.n
     # every flag is checked before any factor work; ranks round to integers
     # in [1, n] and n points have at most n(n-1)/2 + 1 distinct radius
@@ -278,51 +247,46 @@ def _cmd_lrsp(args) -> int:
     rows = [(float(k), lr[k][0], math.nan, lr[k][1], math.nan) for k in ranks]
     rows += [(k, lr[kk][0], em, lr[kk][1], e2)
              for k, kk, (_, em, e2) in zip(k_eq, matched, sparse)]
-    n_rows = _write_csv(
-        args.out, ["equiv_rank", "lr_max", "lrsp_max", "lr_2norm", "lrsp_2norm"],
-        rows, not args.no_timestamp,
-    )
-    _report(args.out, n_rows, t0)
-    return 0
+    return ["equiv_rank", "lr_max", "lrsp_max", "lr_2norm", "lrsp_2norm"], rows
 
 
-def _cmd_precond(args) -> int:
-    t0 = time.time()
+def _cmd_precond(args):
+    # every flag is checked before any kernel work; r needs n, so it is
+    # checked once the data are loaded
+    if not 0 < args.tol < math.inf:
+        raise CovfieldError(f"--tol must be a finite number > 0, got {args.tol}")
+    if args.maxit < 1:
+        raise CovfieldError(f"--maxit must be >= 1, got {args.maxit}")
+    if args.delta is not None and not 0 <= args.delta < math.inf:
+        raise CovfieldError(f"--delta must be a finite number >= 0, got {args.delta}")
+    if not math.isfinite(args.r_fraction):
+        raise CovfieldError(f"--r-fraction must be finite, got {args.r_fraction}")
     if args.data:
         X = load_csv(args.data)
-        if args.subsample:
+        if args.subsample is not None:
             X = subsample(X, args.subsample, args.seed)
         if args.standardize:
             X = standardize(X)
     else:
         X = generate_gaussian_cloud(args.n, args.d, args.seed)
+    r = max(1, round(args.r_fraction * X.n))
+    if not r < X.n:
+        raise CovfieldError(
+            f"--r-fraction {args.r_fraction:g} gives r = {r} landmarks, need r < n = {X.n}")
     sigma = bandwidth_percentile(X, args.percentile)
     cfg = KernelConfig(sigma=sigma, tau=args.tau)
     delta = args.delta if args.delta is not None else 2.0 * sigma
     results = precond_mod.run_methods(
-        X, cfg, r=max(1, int(round(args.r_fraction * X.n))), delta=delta,
-        tol_abs=args.tol, max_iter=args.maxit,
+        X, cfg, r=r, delta=delta, tol_abs=args.tol, max_iter=args.maxit,
         landmark_seed=args.seed + 1, pattern_seed=args.seed + 2, rhs_seed=args.seed + 3,
     )
-    rows = (
-        (r["method"], r["iterations"], r["rel_err"], r["residual"], r["fsai_nnz_fraction"])
-        for r in results
-    )
-    n = _write_csv(
-        args.out, ["method", "iterations", "rel_err", "residual", "fsai_nnz_fraction"],
-        rows, not args.no_timestamp,
-    )
-    _report(args.out, n, t0)
-    return 0
+    header = ["method", "iterations", "rel_err", "residual", "fsai_nnz_fraction"]
+    return header, ([r[c] for c in header] for r in results)
 
 
-def _cmd_gen(args) -> int:
-    t0 = time.time()
+def _cmd_gen(args):
     X = generate_gaussian_cloud(args.n, args.d, args.seed)
-    header = [f"x{i}" for i in range(args.d)]
-    n = _write_csv(args.out, header, (tuple(row) for row in X.coords), not args.no_timestamp)
-    _report(args.out, n, t0)
-    return 0
+    return [f"x{i}" for i in range(args.d)], (tuple(row) for row in X.coords)
 
 
 # ---------------------------------------------------------------- arg parsing
@@ -443,16 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    """Parse ``argv``, run the subcommand and write its CSV to ``--out``;
+    returns the exit code."""
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
+    t0 = time.time()
     try:
-        return args.func(args)
+        header, rows = args.func(args)
+        n = _write_csv(args.out, header, rows, not args.no_timestamp)
     except (CovfieldError, OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"wrote {n} rows to {args.out} in {time.time() - t0:.2f} s")
+    return 0
 
 
 def main() -> None:

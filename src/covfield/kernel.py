@@ -25,12 +25,13 @@ class KernelConfig:
     tau: float = 0.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        # chained comparisons, so NaN fails too
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be nonnegative and finite, got {self.tau}")
 
 
 def kernel_eval(u, v, cfg: KernelConfig) -> float:

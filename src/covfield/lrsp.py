@@ -170,17 +170,3 @@ def cost_equivalent_rank(r0: float, N: float, nnz: float) -> float:
         raise ValueError("need N >= 1, r0 >= 0, nnz >= 0")
     return 0.5 * (-N + np.sqrt(N * N + 4.0 * (r0 * r0 + N * r0 + nnz)))
 
-
-def error_max_norm(X: PointSet, cfg: KernelConfig, approx: np.ndarray) -> float:
-    """max_ij |K_XX - approx| against the dense reference (n <= desk scale)."""
-    return float(np.abs(kernel_matrix(X, X, cfg) - approx).max())
-
-
-def error_two_norm_randomized(
-    X: PointSet, cfg: KernelConfig, approx: np.ndarray, seed: int
-) -> float:
-    """||E v|| / ||v|| for E = K_XX - approx and v standard normal per seed;
-    a lower estimate of the spectral norm."""
-    E = kernel_matrix(X, X, cfg) - approx
-    v = np.random.default_rng(seed).standard_normal(X.n)
-    return float(np.linalg.norm(E @ v) / np.linalg.norm(v))

@@ -38,7 +38,7 @@ class SchurComplement:
     once as a dense n_T x n_T matrix.
 
     Its entries are the posterior covariance field on T conditioned on S:
-    ``entry``/``block`` read the noise-free values and
+    ``R``/``block`` hold the noise-free values and
     ``block(J, include_noise=True)`` adds tau^2 to the diagonal, giving the
     Schur complement of the regularized system.  ``L``, ``jitter_used`` and
     ``W = L^{-1} K_ST`` come from the posterior model ``fit(S, cfg)``;
@@ -55,9 +55,6 @@ class SchurComplement:
         self.W = model.whitened_cross(T)
         self.R = kernel_matrix(T, T, cfg)
         self.R -= self.W.T @ self.W
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.R[i, j])
 
     def block(self, J, include_noise: bool = False) -> np.ndarray:
         J = np.asarray(J, dtype=int)
@@ -88,10 +85,6 @@ def random_pattern(nT: int, cap_fraction: float, seed: int) -> list[np.ndarray]:
         J = rng.choice(i, size=k, replace=False) if k > 0 else np.empty(0, dtype=int)
         rows.append(np.sort(np.append(J, i)).astype(int))
     return rows
-
-
-def pattern_nnz(rows: list[np.ndarray]) -> int:
-    return sum(len(J) for J in rows)
 
 
 def fsai_build(block_fn, pattern: list[np.ndarray]) -> sp.csr_matrix:
@@ -252,7 +245,7 @@ def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int =
     Raises DivergenceError on non-finite iterates and on breakdown
     (p^T A p <= 0 or non-finite, which an indefinite system produces).
     """
-    if tol_abs <= 0:
+    if not tol_abs > 0:   # NaN fails too
         raise ValueError("tol_abs must be positive")
     A = (lambda v, _M=mat_apply: _M @ v) if isinstance(mat_apply, np.ndarray) else mat_apply
     b = np.asarray(b, dtype=float)

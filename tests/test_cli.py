@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from covfield import (
     preset_observations,
     sparse_correction,
 )
+from covfield import cli as cli_mod
+from covfield import kernel as kernel_mod
 from covfield import lrsp as lrsp_mod
+from covfield import posterior as posterior_mod
 from covfield import precond as precond_mod
 from covfield.cli import _grid_rows, _write_csv, run
 
@@ -115,6 +119,42 @@ class TestGridCsv:
         out = tmp_path / "g.csv"
         assert _write_csv(out, ["x", "y", "a", "b"], _grid_rows(g, A, B), False) == 9
         assert out.read_bytes() == self.per_cell(["x", "y", "a", "b"], g.coords[:, 0], A, B)
+
+
+class TestOutputPath:
+    """Every subcommand writes its CSV and its one report line the same way."""
+
+    REPORT = re.compile(r"wrote (\d+) rows to (.+) in \d+\.\d\d s")
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "--preset", "uniform1d", "--sigma", "0.1", "--grid", "7"],
+        ["field2d", "--n-obs", "5", "--grid", "11"],
+        ["bounds", "--condition", "1", "--grid", "11"],
+        ["estimate", "--preset", "uniform1d", "--sigma", "0.2", "--grid", "7"],
+        ["gp-demo", "--n-obs", "5", "--grid", "21"],
+        ["svd", "--equispaced", "30", "--sigma", "0.3", "--k", "5"],
+        ["lrsp", "--n", "60", "--r0", "10", "--rank-sweep", "10:30:10",
+         "--delta-sweep", "1:2:1"],
+        ["precond", "--n", "120", "--maxit", "50"],
+        ["gen", "--n", "10", "--d", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_one_report_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        m = self.REPORT.fullmatch(lines[0])
+        assert m is not None and m.group(2) == str(out)
+        _, rows = read_csv(out)
+        assert int(m.group(1)) == len(rows) > 0
+
+    @pytest.mark.parametrize("argv", [["lrsp", "--r0", "0"], ["gen", "--n", "0", "--d", "2"]],
+                             ids=lambda argv: argv[0])
+    def test_failure_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert run([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 class TestUsageAndErrors:
@@ -305,6 +345,32 @@ class TestPrecondCommand:
                     "--out", str(out), "--no-timestamp"]) == 0
         _, rows = read_csv(out)
         assert float(rows[2][3]) <= 1e-5
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "inf"),
+        ("--maxit", "0"),
+        ("--delta", "nan"), ("--delta", "-1"), ("--delta", "inf"),
+        ("--r-fraction", "nan"), ("--r-fraction", "inf"), ("--r-fraction", "1"),
+    ])
+    def test_bad_flag_fails_before_kernel_work(self, tmp_path, capsys, monkeypatch, flag, value):
+        def never(*args, **kwargs):
+            raise AssertionError("kernel work started")
+
+        for mod in (kernel_mod, posterior_mod, precond_mod, lrsp_mod, cli_mod):
+            monkeypatch.setattr(mod, "kernel_matrix", never)
+        out = tmp_path / "p.csv"
+        assert run(["precond", f"{flag}={value}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+        assert not out.exists()
+
+    def test_subsample_zero_is_a_range_error(self, tmp_path, capsys):
+        data = tmp_path / "pts.csv"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((50, 2)), delimiter=",")
+        out = tmp_path / "p.csv"
+        assert run(["precond", "--data", str(data), "--subsample", "0",
+                    "--out", str(out)]) == 1
+        assert "need 1 <= m <= 50, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_singular_reference_solve_is_named(self, tmp_path, capsys, monkeypatch):
         # tau = 0 with every row twice: K is singular, so the dense reference

@@ -18,6 +18,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             KernelConfig(sigma=1.0, tau=-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["sigma", "beta", "tau"])
+    def test_non_finite_rejected(self, name, bad):
+        params = {"sigma": 1.0, name: bad}
+        with pytest.raises(ValueError, match=name):
+            KernelConfig(**params)
+
 
 class TestKernelEval:
     def test_zero_distance(self):

@@ -7,8 +7,6 @@ from covfield import (
     PointSet,
     cost_equivalent_rank,
     distance_matrix,
-    error_max_norm,
-    error_two_norm_randomized,
     generate_gaussian_cloud,
     geometric_pattern,
     kernel_eval,
@@ -197,11 +195,13 @@ class TestSparseCorrection:
         np.testing.assert_array_equal(corr, corr.T)
 
     def test_error_monotone_in_radius(self, cloud, cloud_cfg, cloud_factor):
+        K = kernel_matrix(cloud, cloud, cloud_cfg)
+        v = np.ones(cloud.n)
         errs = []
         for mult in (2, 5, 8):
             pat = pattern_by_radius(cloud, mult * cloud_cfg.sigma)
             corr = sparse_correction(cloud, cloud_factor, pat, cloud_cfg)
-            errs.append(error_max_norm(cloud, cloud_cfg, lrsp_dense(cloud_factor, corr)))
+            errs.append(error_norms(K - lrsp_dense(cloud_factor, corr), v)[0])
         assert errs[0] >= errs[1] >= errs[2]
 
 
@@ -315,8 +315,10 @@ class TestErrorNorms:
         X = generate_gaussian_cloud(60, 2, 8)
         cfg = KernelConfig(sigma=0.5)
         K = kernel_matrix(X, X, cfg)
-        assert error_max_norm(X, cfg, K) == 0.0
-        assert error_two_norm_randomized(X, cfg, K, seed=1) == 0.0
+        E = K - K
+        v = np.random.default_rng(1).standard_normal(X.n)
+        assert error_norms(E, v)[0] == 0.0
+        assert error_norms(E, v)[1] == 0.0
 
     def test_randomized_below_spectral(self):
         X = generate_gaussian_cloud(200, 2, 9)
@@ -326,11 +328,14 @@ class TestErrorNorms:
         E = kernel_matrix(X, X, cfg) - A
         spectral = np.abs(np.linalg.eigvalsh(E)).max()
         for seed in range(5):
-            assert error_two_norm_randomized(X, cfg, A, seed) <= spectral + 1e-12
+            v = np.random.default_rng(seed).standard_normal(X.n)
+            assert error_norms(E, v)[1] <= spectral + 1e-12
 
     def test_nonnegative(self):
         X = generate_gaussian_cloud(50, 2, 11)
         cfg = KernelConfig(sigma=0.5)
         A = np.zeros((50, 50))
-        assert error_max_norm(X, cfg, A) >= 0
-        assert error_two_norm_randomized(X, cfg, A, 0) >= 0
+        E = kernel_matrix(X, X, cfg) - A
+        v = np.random.default_rng(0).standard_normal(X.n)
+        assert error_norms(E, v)[0] >= 0
+        assert error_norms(E, v)[1] >= 0
