@@ -65,7 +65,7 @@ def lower_bound_small(model: PosteriorModel, x, y) -> float:
 def variance_lower_bound(model: PosteriorModel, x, max_weight_norm: float) -> float:
     """Lower bound beta * (1 - exp(-rho_hat^2) sqrt(r) * max_weight_norm) on
     the posterior variance; positive only for points far from S."""
-    if max_weight_norm < 1:
+    if not 1 <= max_weight_norm < math.inf:   # inf * exp(-rho^2) can be NaN
         raise ValueError("max_weight_norm is >= 1 by definition")
     s2 = math.sqrt(2.0) * model.cfg.sigma
     rho_hat = model._point(x)[1].dist / s2

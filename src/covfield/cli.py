@@ -183,6 +183,8 @@ def _cmd_gp_demo(args):
 
 
 def _cmd_svd(args):
+    if not 1 <= args.k <= args.equispaced:
+        raise CovfieldError(f"--k must lie in [1, --equispaced = {args.equispaced}], got {args.k}")
     X = _unit_grid(args.equispaced)
     K = kernel_matrix(X, X, KernelConfig(sigma=args.sigma))
     s = np.linalg.svd(K, compute_uv=False)[: args.k]
@@ -275,9 +277,8 @@ def _cmd_precond(args):
             f"--r-fraction {args.r_fraction:g} gives r = {r} landmarks, need r < n = {X.n}")
     sigma = bandwidth_percentile(X, args.percentile)
     cfg = KernelConfig(sigma=sigma, tau=args.tau)
-    delta = args.delta if args.delta is not None else 2.0 * sigma
     results = precond_mod.run_methods(
-        X, cfg, r=r, delta=delta, tol_abs=args.tol, max_iter=args.maxit,
+        X, cfg, r=r, delta=args.delta, tol_abs=args.tol, max_iter=args.maxit,
         landmark_seed=args.seed + 1, pattern_seed=args.seed + 2, rhs_seed=args.seed + 3,
     )
     header = ["method", "iterations", "rel_err", "residual", "fsai_nnz_fraction"]
@@ -377,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lrsp)
 
     p = sub.add_parser("precond", help="three-method preconditioning benchmark table")
-    p.add_argument("--gen", choices=["randn"], default="randn")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--data", default=None, help="CSV dataset instead of synthetic")

@@ -86,7 +86,7 @@ def estimator_field(X: PointSet, S: PointSet, sigma: float) -> np.ndarray:
 def absolute_field(values: np.ndarray, ref_max: float) -> np.ndarray:
     """Rescale a relative-estimator field so its maximum equals ``ref_max``
     (typically the exact or estimated maximum of |R|)."""
-    if ref_max < 0:
+    if not 0 <= ref_max < math.inf:   # inf would scale the zeros to NaN
         raise ValueError("ref_max must be nonnegative")
     v = np.asarray(values, dtype=float)
     vmax = v.max()

@@ -18,8 +18,6 @@ PRESETS = {
     "nonuniform1d": (0.02, 0.12, 0.22, 0.6, 0.98),
 }
 
-_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -100,26 +98,12 @@ def dist_to_set(x, S: PointSet) -> tuple[float, int]:
 def distance_matrix(X: PointSet, rows: slice = slice(None)) -> np.ndarray:
     """Euclidean distances from the points ``X[rows]`` to every point of X.
 
-    These are the values ``radius_pairs`` compares with delta (``cdist``
-    evaluates each pair on its own, so a row block holds the same bits as the
-    same rows of the whole matrix): ``distance_matrix(X) <= delta`` is true
-    exactly at the pairs ``radius_pairs(X, delta)`` returns.
+    A pair is within delta exactly when its value here is <= delta: both
+    sparsity patterns and the LRSP sweep threshold these values.  ``cdist``
+    evaluates each pair on its own, so a row block holds the same bits as
+    the same rows of the whole matrix.
     """
     return cdist(X.coords[rows], X.coords)
-
-
-def radius_pairs(X: PointSet, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(rows, cols)`` with ||x_i - x_j|| <= delta, diagonal
-    included, sorted by row and then column; a brute-force scan over
-    ``_CHUNK``-row blocks of the distance matrix."""
-    if not delta >= 0:
-        raise ValueError("delta must be a nonnegative number")
-    rows, cols = [], []
-    for lo in range(0, X.n, _CHUNK):
-        r, c = np.nonzero(distance_matrix(X, slice(lo, lo + _CHUNK)) <= delta)
-        rows.append(r + lo)
-        cols.append(c)
-    return np.concatenate(rows), np.concatenate(cols)
 
 
 def preset_observations(name: str) -> PointSet:

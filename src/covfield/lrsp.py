@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import PointSet, radius_pairs
+from .geometry import PointSet, distance_matrix
 from .kernel import KernelConfig, kernel_matrix
 from .posterior import fit
 
@@ -68,12 +68,12 @@ def lowrank_dense(factor: NystromFactor) -> np.ndarray:
 
 
 def pattern_by_radius(X: PointSet, delta: float) -> sp.csr_matrix:
-    """Boolean symmetric pattern {(i, j): ||x_i - x_j|| <= delta}; the
-    diagonal is always included."""
-    rows, cols = radius_pairs(X, delta)
-    return sp.csr_matrix(
-        (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(X.n, X.n)
-    )
+    """Boolean symmetric pattern {(i, j): ||x_i - x_j|| <= delta}, the mask
+    ``distance_matrix(X) <= delta`` in CSR form (desk scale, one n x n
+    buffer); the diagonal is always included."""
+    if not delta >= 0:
+        raise ValueError("delta must be a nonnegative number")
+    return sp.csr_matrix(distance_matrix(X) <= delta)
 
 
 def sparse_correction(
@@ -142,7 +142,7 @@ def lrsp_sweep(
     R0 = K - W_0^T W_0 is the residual of the low-rank part, and the exact
     sparse correction on the pattern {D <= delta} is R0 itself there, so the
     error is R0 with the pattern zeroed.  D is ``geometry.distance_matrix``,
-    so each pattern is ``radius_pairs``'s and nnz counts its pairs.  The
+    so each mask is ``pattern_by_radius``'s and nnz counts its pairs.  The
     radii must not decrease: the patterns then nest and each one is zeroed
     in place on top of the last, with no copy of R0 and no pair list.  R0 is
     overwritten: on return it holds the error at the last radius.
@@ -164,9 +164,10 @@ def cost_equivalent_rank(r0: float, N: float, nnz: float) -> float:
     """Positive root k of k^2 + N k = r0^2 + N r0 + nnz.
 
     The rank of an imaginary plain low-rank factorization with the same
-    storage as the LRSP format; real-valued by design.
+    storage as the LRSP format; real-valued by design.  An infinite N would
+    give inf - inf, so N must be finite.
     """
-    if N < 1 or r0 < 0 or nnz < 0:
+    if not (1 <= N < np.inf and r0 >= 0 and nnz >= 0):   # NaN fails too
         raise ValueError("need N >= 1, r0 >= 0, nnz >= 0")
     return 0.5 * (-N + np.sqrt(N * N + 4.0 * (r0 * r0 + N * r0 + nnz)))
 

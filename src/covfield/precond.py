@@ -28,9 +28,12 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import DivergenceError, IllConditionedKernelError
-from .geometry import PointSet, radius_pairs
+from .geometry import PointSet, distance_matrix
 from .kernel import KernelConfig, kernel_matrix
 from .posterior import JITTER_LADDER, fit
+
+RANDOM_ROW_CAP = 0.1   # the random baseline's per-row cap, as a fraction of n_T
+_ROW_BLOCK = 256       # rows per distance block in geometric_pattern
 
 
 class SchurComplement:
@@ -38,13 +41,12 @@ class SchurComplement:
     once as a dense n_T x n_T matrix.
 
     Its entries are the posterior covariance field on T conditioned on S:
-    ``R``/``block`` hold the noise-free values and
-    ``block(J, include_noise=True)`` adds tau^2 to the diagonal, giving the
-    Schur complement of the regularized system.  ``L``, ``jitter_used`` and
-    ``W = L^{-1} K_ST`` come from the posterior model ``fit(S, cfg)``;
-    ``R = K_TT - W^T W`` is exactly symmetric (numpy forms W^T W as one
-    symmetric rank-k update).  Memory: n_T^2 doubles, 5.1 MB at n_T = 800
-    and 128 MB at n_T = 4000.
+    ``R`` holds the noise-free values and ``block(J)`` gathers a principal
+    block with tau^2 added to the diagonal, the Schur complement of the
+    regularized system.  ``L``, ``jitter_used`` and ``W = L^{-1} K_ST`` come
+    from the posterior model ``fit(S, cfg)``; ``R = K_TT - W^T W`` is exactly
+    symmetric (numpy forms W^T W as one symmetric rank-k update).  Memory:
+    n_T^2 doubles, 5.1 MB at n_T = 800 and 128 MB at n_T = 4000.
     """
 
     def __init__(self, S: PointSet, T: PointSet, cfg: KernelConfig):
@@ -56,20 +58,27 @@ class SchurComplement:
         self.R = kernel_matrix(T, T, cfg)
         self.R -= self.W.T @ self.W
 
-    def block(self, J, include_noise: bool = False) -> np.ndarray:
+    def block(self, J) -> np.ndarray:
         J = np.asarray(J, dtype=int)
         B = self.R.take(J, 0).take(J, 1)
-        if include_noise and self.cfg.tau > 0:
-            B[np.diag_indices(len(J))] += self.cfg.tau**2
+        B[np.diag_indices(len(J))] += self.cfg.tau**2
         return B
 
 
 def geometric_pattern(T: PointSet, delta: float) -> list[np.ndarray]:
     """Per-row sorted column sets {j <= i : ||t_i - t_j|| <= delta}; the
-    diagonal is always present."""
-    rows, cols = radius_pairs(T, delta)
-    lower = cols <= rows
-    return np.split(cols[lower], np.cumsum(np.bincount(rows[lower], minlength=T.n))[:-1])
+    diagonal is always present.  Thresholds the lower triangle of
+    ``distance_matrix(T)`` one ``_ROW_BLOCK``-row block at a time, so memory
+    stays at one block; the rows of a block are views of one index array."""
+    if not delta >= 0:
+        raise ValueError("delta must be a nonnegative number")
+    rows: list[np.ndarray] = []
+    for lo in range(0, T.n, _ROW_BLOCK):
+        r, c = np.nonzero(distance_matrix(T, slice(lo, lo + _ROW_BLOCK)) <= delta)
+        lower = c <= r + lo
+        counts = np.bincount(r[lower], minlength=min(_ROW_BLOCK, T.n - lo))
+        rows += np.split(c[lower], np.cumsum(counts)[:-1])
+    return rows
 
 
 def random_pattern(nT: int, cap_fraction: float, seed: int) -> list[np.ndarray]:
@@ -186,7 +195,6 @@ def afn_build(
     *,
     pattern: str = "geometric",
     delta: float | None = None,
-    cap_fraction: float = 0.1,
     landmark_seed: int = 0,
     pattern_seed: int = 0,
 ) -> AfnPreconditioner:
@@ -194,10 +202,11 @@ def afn_build(
 
     r landmarks are drawn uniformly at random (seeded permutation); the FSAI
     pattern on the remaining points is either ``geometric`` (distance
-    threshold ``delta``, default 2 sigma) or ``random`` (per-row cap).
+    threshold ``delta``, default 2 sigma) or ``random`` (per-row cap
+    ``RANDOM_ROW_CAP``).
     """
     perm, schur = _landmark_split(X, cfg, r, landmark_seed)
-    return _afn_on_pattern(perm, schur, pattern, delta, cap_fraction, pattern_seed)
+    return _afn_on_pattern(perm, schur, pattern, delta, pattern_seed)
 
 
 def _landmark_split(X: PointSet, cfg: KernelConfig, r: int, landmark_seed: int):
@@ -210,17 +219,17 @@ def _landmark_split(X: PointSet, cfg: KernelConfig, r: int, landmark_seed: int):
     return perm, SchurComplement(S, T, cfg)
 
 
-def _afn_on_pattern(perm, schur: SchurComplement, pattern, delta, cap_fraction, pattern_seed):
+def _afn_on_pattern(perm, schur: SchurComplement, pattern, delta, pattern_seed):
     """The preconditioner on one landmark split: FSAI of the Schur block on
     the ``geometric`` or ``random`` pattern over T."""
     T = schur.T
     if pattern == "geometric":
         rows = geometric_pattern(T, 2.0 * schur.cfg.sigma if delta is None else delta)
     elif pattern == "random":
-        rows = random_pattern(T.n, cap_fraction, pattern_seed)
+        rows = random_pattern(T.n, RANDOM_ROW_CAP, pattern_seed)
     else:
         raise ValueError("pattern must be 'geometric' or 'random'")
-    G = fsai_build(lambda J: schur.block(J, include_noise=True), rows)
+    G = fsai_build(schur.block, rows)
     return AfnPreconditioner(
         perm=perm, r=len(perm) - T.n, L=schur.L, W=schur.W, G=G,
         jitter_used=schur.jitter_used, GT=G.T.tocsr(),
@@ -300,8 +309,7 @@ def run_methods(
     cfg: KernelConfig,
     *,
     r: int,
-    delta: float,
-    cap_fraction: float = 0.1,
+    delta: float | None = None,
     tol_abs: float = 1e-5,
     max_iter: int = 1000,
     landmark_seed: int = 1,
@@ -315,7 +323,8 @@ def run_methods(
     unit norm, so the absolute tolerance reads as a relative one.  The
     reference solution for the relative-error column comes from a dense
     Cholesky solve, which raises ``IllConditionedKernelError`` before any
-    PCG when the system is not numerically positive definite.  Returns one
+    PCG when the system is not numerically positive definite.  ``delta`` is
+    the geometric pattern's threshold, 2 sigma when None.  Returns one
     dict per method with keys
     method/iterations/rel_err/residual/fsai_nnz_fraction.
     """
@@ -345,9 +354,7 @@ def run_methods(
             nnz_frac = float("nan")
         else:
             P = _afn_on_pattern(
-                *split, "geometric" if method == 3 else "random",
-                delta, cap_fraction, pattern_seed,
-            )
+                *split, "geometric" if method == 3 else "random", delta, pattern_seed)
             pre = P.apply_inverse
             nnz_frac = P.fsai_nnz_fraction
         x, iters, hist = pcg(A, b, pre, tol_abs=tol_abs, max_iter=max_iter)

@@ -107,6 +107,12 @@ class TestVarianceLowerBound:
             if lb > 0:
                 assert model.variance(x) >= lb - 1e-12
 
+    @pytest.mark.parametrize("g", [0.5, -math.inf, math.inf, math.nan])
+    def test_rejects_bad_weight_norm(self, uniform1d, g):
+        model = fit(uniform1d, KernelConfig(sigma=0.05))
+        with pytest.raises(ValueError, match="max_weight_norm"):
+            variance_lower_bound(model, 0.5, g)
+
 
 class TestLargeBandwidthBound:
     def test_zero_on_observations(self, uniform1d):

@@ -182,6 +182,20 @@ class TestSvdCommand:
         assert all(v > 0 for v in vals)
         assert vals[49] <= 1e-10 * vals[0]
 
+    @pytest.mark.parametrize("k", ["-5", "0", "51"])
+    def test_k_outside_grid_fails_before_kernel_work(self, tmp_path, capsys, monkeypatch, k):
+        def never(*args, **kwargs):
+            raise AssertionError("kernel work started")
+
+        monkeypatch.setattr(cli_mod, "kernel_matrix", never)
+        out = tmp_path / "s.csv"
+        assert run(["svd", "--equispaced", "50", "--sigma", "0.6", f"--k={k}",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --k")
+        assert not out.exists()
+
 
 class TestBoundsCommand:
     def test_default_sigma_per_condition(self, tmp_path):
@@ -327,7 +341,7 @@ class TestPrecondCommand:
     def test_benchmark_instance(self, tmp_path):
         # the documented benchmark instance: seed 42, defaults everywhere
         out = tmp_path / "t.csv"
-        assert run(["precond", "--gen", "randn", "--n", "1000", "--d", "3",
+        assert run(["precond", "--n", "1000", "--d", "3",
                     "--seed", "42", "--out", str(out), "--no-timestamp"]) == 0
         header, rows = read_csv(out)
         assert [r[0] for r in rows] == ["1", "2", "3"]

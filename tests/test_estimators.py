@@ -117,6 +117,11 @@ class TestAbsoluteField:
         with pytest.raises(DegenerateDataError):
             absolute_field(np.zeros(4), 1.0)
 
+    @pytest.mark.parametrize("ref_max", [-0.5, np.inf, np.nan])
+    def test_rejects_bad_ref_max(self, ref_max):
+        with pytest.raises(ValueError, match="ref_max"):
+            absolute_field(np.array([0.0, 1.0, 2.0]), ref_max)
+
     def test_pattern_fidelity_large_sigma(self, uniform1d):
         # top-decile overlap between the calibrated estimator field and the
         # exact field; threshold from the acceptance surrogate

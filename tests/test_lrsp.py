@@ -19,7 +19,6 @@ from covfield import (
     pattern_by_radius,
     sparse_correction,
 )
-from covfield.geometry import radius_pairs
 from covfield.lrsp import error_norms
 
 
@@ -134,15 +133,25 @@ class TestPattern:
         assert (pat != pat.T).nnz == 0
 
     def test_lower_triangle_is_geometric_pattern(self):
-        T = generate_gaussian_cloud(600, 3, 4)
-        for delta in (0.0, 0.3, 0.8, 1e9):
-            lower = sp.tril(pattern_by_radius(T, delta), format="csr")
-            rows = geometric_pattern(T, delta)
-            assert len(rows) == T.n
-            for i, J in enumerate(rows):
-                np.testing.assert_array_equal(
-                    lower.indices[lower.indptr[i]: lower.indptr[i + 1]], J
-                )
+        # sizes around geometric_pattern's 256-row distance blocks
+        for n in (255, 256, 257, 600):
+            T = generate_gaussian_cloud(n, 3, 4)
+            for delta in (0.0, 0.3, 0.8, 1e9):
+                lower = sp.tril(pattern_by_radius(T, delta), format="csr")
+                rows = geometric_pattern(T, delta)
+                assert len(rows) == T.n
+                for i, J in enumerate(rows):
+                    np.testing.assert_array_equal(
+                        lower.indices[lower.indptr[i]: lower.indptr[i + 1]], J
+                    )
+
+    @pytest.mark.parametrize("delta", [np.nan, -1.0])
+    def test_bad_radius_rejected(self, delta):
+        X = generate_gaussian_cloud(10, 2, 3)
+        with pytest.raises(ValueError, match="delta"):
+            pattern_by_radius(X, delta)
+        with pytest.raises(ValueError, match="delta"):
+            geometric_pattern(X, delta)
 
 
 class TestSparseCorrection:
@@ -254,12 +263,12 @@ class TestSweeps:
         D = distance_matrix(X)
         diam = D.max()
         for delta in (0.0, 0.2, 0.5, 1.3, diam, 2 * diam):
-            rows, cols = radius_pairs(X, delta)
+            rows, cols = pattern_by_radius(X, delta).nonzero()
             np.testing.assert_array_equal(np.nonzero(D <= delta), (rows, cols))
         R = np.ones((X.n, X.n))
         radii = [0.0, 0.5, diam]
         nnz = [m for m, _, _ in lrsp_sweep(R, D, radii, np.ones(X.n))]
-        assert nnz == [len(radius_pairs(X, delta)[0]) for delta in radii]
+        assert nnz == [len(pattern_by_radius(X, delta).nonzero()[0]) for delta in radii]
         assert nnz[0] == X.n and nnz[-1] == X.n**2
 
     def test_lrsp_sweep_is_copy_and_scatter(self, sweep_case):
@@ -270,7 +279,7 @@ class TestSweeps:
         radii = [0.0, 0.25, 0.25, 0.5, 1.0, 1.5]
         got = lrsp_sweep(R0.copy(), distance_matrix(X), radii, v)
         for delta, (nnz, m, two) in zip(radii, got):
-            rows, cols = radius_pairs(X, delta)
+            rows, cols = pattern_by_radius(X, delta).nonzero()
             E = R0.copy()
             E[rows, cols] = 0.0
             assert nnz == len(rows)
@@ -293,6 +302,14 @@ class TestCostEquivalentRank:
     def test_known_arithmetic(self):
         # 101^2 + 1000*101 = 100^2 + 1000*100 + 1201
         assert cost_equivalent_rank(100, 1000, 1201) == pytest.approx(101.0, abs=1e-9)
+
+    @pytest.mark.parametrize("args", [
+        (-1, 100, 0), (5, 0, 0), (5, 100, -1),
+        (np.nan, 100, 0), (5, np.nan, 0), (5, 100, np.nan), (5, np.inf, 0),
+    ])
+    def test_rejects_bad_input(self, args):
+        with pytest.raises(ValueError, match="need N >= 1"):
+            cost_equivalent_rank(*args)
 
     def test_monotone_in_nnz(self):
         ks = [cost_equivalent_rank(50, 500, z) for z in (0, 10, 1000, 50000)]
