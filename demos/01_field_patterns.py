@@ -1,40 +1,34 @@
 """How the posterior covariance field changes with bandwidth and data layout.
 
-Evaluates |R(x, y)| over [0,1]^2 for the two observation presets and three
-bandwidths, writes each field as long-form CSV, and prints where the largest
-values sit.  Small bandwidths give a banded pattern (mass near the diagonal,
-away from the observations); large bandwidths give a tensor-product pattern
-whose maxima drift toward the domain corners.
+Runs ``covfield field`` for the two observation presets and three
+bandwidths, and prints where the largest values of |R(x, y)| over [0,1]^2
+sit.  Small bandwidths give a banded pattern (mass near the diagonal, away
+from the observations); large bandwidths give a tensor-product pattern whose
+maxima drift toward the domain corners.
 """
 
 import os
+import sys
 
 import numpy as np
 
-from covfield import KernelConfig, PointSet, fit, preset_observations
+from covfield import cli, preset_observations
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
-grid = PointSet(np.linspace(0, 1, 101)[:, None])
-xs = grid.coords[:, 0]
-
 for name in ("uniform1d", "nonuniform1d"):
-    S = preset_observations(name)
-    print(f"\n=== {name}: observations at {S.coords[:, 0]} ===")
+    print(f"\n=== {name}: observations at {preset_observations(name).coords[:, 0]} ===")
     for sigma in (0.1, 0.25, 0.4):
-        model = fit(S, KernelConfig(sigma=sigma))
-        R = np.abs(model.cov_matrix(grid, grid))
-        i, j = np.unravel_index(np.argmax(R), R.shape)
         path = os.path.join(OUT, f"field_{name}_sigma{sigma}.csv")
-        with open(path, "w") as fh:
-            fh.write("x,y,value\n")
-            for a in range(101):
-                for b in range(101):
-                    fh.write(f"{xs[a]:.17g},{xs[b]:.17g},{R[a, b]:.17g}\n")
+        if code := cli.run(["field", "--preset", name, "--sigma", str(sigma),
+                            "--out", path, "--no-timestamp"]):
+            sys.exit(code)
+        x, y, R = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        k = int(np.argmax(R))
         print(
-            f"sigma={sigma}: max |R| = {R.max():.4f} at (x, y) = ({xs[i]:.2f}, {xs[j]:.2f}), "
-            f"|x - y| = {abs(xs[i] - xs[j]):.2f}  -> {path}"
+            f"sigma={sigma}: max |R| = {R[k]:.4f} at (x, y) = ({x[k]:.2f}, {y[k]:.2f}), "
+            f"|x - y| = {abs(x[k] - y[k]):.2f}  -> {path}"
         )
     print(
         "note how the max location moves: near-diagonal pairs far from the "

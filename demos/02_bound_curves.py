@@ -1,46 +1,39 @@
 """Pattern curves against the exact field slice |R(x, y*)|.
 
-Fixes y* = 0.15 over the uniform preset and compares the rescaled curves in
-the three regimes: small bandwidth far from y* (kernel-plus-tail curve),
-small bandwidth near y* (kernel-minus-tail curve), and large bandwidth
-(distance-to-observations curve).  Each curve is rescaled so its maximum over
-its region matches the exact slice's maximum there; the interesting part is
-whether the argmax lands in the right place.
+Runs ``covfield bounds`` at y* = 0.15 over the uniform preset and compares
+the rescaled curves in the three regimes: small bandwidth far from y*
+(kernel-plus-tail curve), small bandwidth near y* (kernel-minus-tail curve),
+and large bandwidth (distance-to-observations curve).  Each curve is
+rescaled so its maximum over its region matches the exact slice's maximum
+there; the interesting part is whether the argmax lands in the right place.
 """
 
 import os
+import sys
 
 import numpy as np
 
-from covfield import KernelConfig, PointSet, estimate_curve, fit, preset_observations
+from covfield import cli
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
-S = preset_observations("uniform1d")
-grid = PointSet(np.linspace(0, 1, 1001)[:, None])
-xs = grid.coords[:, 0]
-ystar = 0.15
-
 cases = [
-    (1, 0.05, "upper", "small sigma, dist(x, y*) > 3 sigma"),
-    (2, 0.05, "lower", "small sigma, dist(x, y*) < 3 sigma"),
-    (3, 0.40, "distance", "large sigma, whole domain"),
+    (1, "upper", "small sigma, dist(x, y*) > 3 sigma"),
+    (2, "lower", "small sigma, dist(x, y*) < 3 sigma"),
+    (3, "distance", "large sigma, whole domain"),
 ]
 
-for condition, sigma, kind, label in cases:
-    model = fit(S, KernelConfig(sigma=sigma))
-    exact = np.abs(model.cov_matrix(grid, PointSet(np.array([[ystar]]))))[:, 0]
-    curve = estimate_curve(model, ystar, grid, kind, condition=condition)
-    mask = ~np.isnan(curve)
-    exact_in = np.where(mask, exact, -np.inf)
-    curve_in = np.where(mask, curve, -np.inf)
-    k_true, k_est = int(np.argmax(exact_in)), int(np.argmax(curve_in))
+for condition, kind, label in cases:
     path = os.path.join(OUT, f"curves_condition{condition}.csv")
-    with open(path, "w") as fh:
-        fh.write("x,exact_abs,curve\n")
-        for a in range(len(xs)):
-            fh.write(f"{xs[a]:.17g},{exact[a]:.17g},{curve[a]:.17g}\n")
+    if code := cli.run(["bounds", "--condition", str(condition), "--grid", "1001",
+                        "--out", path, "--no-timestamp"]):
+        sys.exit(code)
+    table = np.genfromtxt(path, delimiter=",", names=True)
+    xs, exact, curve = table["x"], table["exact_abs"], table[f"{kind}_curve"]
+    outside = np.isnan(curve)
+    k_true = int(np.argmax(np.where(outside, -np.inf, exact)))
+    k_est = int(np.argmax(np.where(outside, -np.inf, curve)))
     print(f"condition {condition} ({label}), curve '{kind}':")
     print(
         f"  exact argmax x = {xs[k_true]:.3f}, curve argmax x = {xs[k_est]:.3f} "

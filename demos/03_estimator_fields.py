@@ -1,61 +1,38 @@
 """O(r)-per-query field estimators vs the exact posterior covariance field.
 
-For each preset and bandwidth, builds the cheap relative estimator (kernel-
-weighted nearest distances below the regime cut, cumulative distances above),
-calibrates it to the exact maximum, and scores the agreement by top-decile
-overlap.  The point: locating the dominant |R| entries does not require any
-linear solves.
+Runs ``covfield estimate`` for each preset and bandwidth: the cheap relative
+estimator (kernel-weighted nearest distances below the regime cut, cumulative
+distances above), calibrated to the exact maximum.  The demo scores the
+agreement by top-decile overlap.  The point: locating the dominant |R|
+entries does not require any linear solves.
 """
 
 import os
+import sys
 
 import numpy as np
 
-from covfield import (
-    KernelConfig,
-    PointSet,
-    absolute_field,
-    dist_metrics,
-    fit,
-    kernel_matrix,
-    preset_observations,
-)
+from covfield import cli
 from covfield.estimators import FIELD_REGIME_CUT
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
-grid = PointSet(np.linspace(0, 1, 101)[:, None])
-xs = grid.coords[:, 0]
-
 for name in ("uniform1d", "nonuniform1d"):
-    S = preset_observations(name)
     for sigma in (0.1, 0.2, 0.4):
-        model = fit(S, KernelConfig(sigma=sigma))
-        exact = np.abs(model.cov_matrix(grid, grid))
-        near = np.array([dist_metrics(p, S, sigma).nearest for p in grid.coords])
+        path = os.path.join(OUT, f"estimate_{name}_sigma{sigma}.csv")
+        if code := cli.run(["estimate", "--preset", name, "--sigma", str(sigma),
+                            "--out", path, "--no-timestamp"]):
+            sys.exit(code)
+        _, _, exact, field = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
         if sigma < FIELD_REGIME_CUT:
-            rel = np.sqrt(np.outer(near, near)) * kernel_matrix(
-                grid, grid, KernelConfig(sigma=sigma)
-            )
             regime = "small-bandwidth (kernel-weighted)"
         else:
-            cum = np.array([dist_metrics(p, S, sigma).cumulative for p in grid.coords])
-            rel = np.outer(near * cum, near * cum)
             regime = "large-bandwidth (kernel-free)"
-        field = absolute_field(rel, float(exact.max()))
         ntop = int(np.ceil(0.1 * exact.size))
-        a = set(np.argsort(exact.ravel())[-ntop:])
-        b = set(np.argsort(field.ravel())[-ntop:])
+        a = set(np.argsort(exact)[-ntop:])
+        b = set(np.argsort(field)[-ntop:])
         jac = len(a & b) / len(a | b)
-        path = os.path.join(OUT, f"estimate_{name}_sigma{sigma}.csv")
-        with open(path, "w") as fh:
-            fh.write("x,y,exact,estimate\n")
-            for i in range(101):
-                for j in range(101):
-                    fh.write(
-                        f"{xs[i]:.17g},{xs[j]:.17g},{exact[i, j]:.17g},{field[i, j]:.17g}\n"
-                    )
         print(
             f"{name} sigma={sigma}: {regime}; top-decile Jaccard overlap "
             f"with the exact field = {jac:.2f}  -> {path}"

@@ -1,51 +1,36 @@
 """Gaussian-process regression with estimated uncertainty bands.
 
-Fits f(x) = cos(25 x^2) through 15 seeded random observations using trained
-hyperparameters, then compares the exact posterior standard deviation with
-the O(r) estimate (wide gaps use the distance formula, narrow gaps scale the
-exact variance at the midpoint reference points).  Both vanish exactly at the
-observations.
+Runs ``covfield gp-demo``: f(x) = cos(25 x^2) through 15 seeded random
+observations with trained hyperparameters, comparing the exact posterior
+standard deviation with the O(r) estimate (wide gaps use the distance
+formula, narrow gaps scale the exact variance at the midpoint reference
+points).  Both vanish exactly at the observations.
 """
 
 import os
+import sys
 
 import numpy as np
 
-from covfield import (
-    KernelConfig,
-    PointSet,
-    fit,
-    reference_points_1d,
-    variance_estimator_auto,
-)
+from covfield import KernelConfig, PointSet, cli, fit
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
-beta, sigma = 0.9453058162554949, 0.06332725946674625
-rng = np.random.default_rng(3)
-sx = np.sort(rng.uniform(0, 1, 15))
-S = PointSet(sx[:, None])
-f = lambda t: np.cos(25 * t**2)  # noqa: E731
-
-model = fit(S, KernelConfig(sigma=sigma, beta=beta))
-refs = reference_points_1d(model)
-grid = np.linspace(0, 1, 1001)
-
-mean = model.mean(f(sx), PointSet(grid[:, None]))
-true_std = np.sqrt(np.maximum(0.0, [model.variance(x) for x in grid]))
-est_std = np.sqrt(np.maximum(0.0, [variance_estimator_auto(x, model, refs) for x in grid]))
-
 path = os.path.join(OUT, "gp_uncertainty.csv")
-with open(path, "w") as fh:
-    fh.write("x,mean,true_std,est_std\n")
-    for i, x in enumerate(grid):
-        fh.write(f"{x:.17g},{mean[i]:.17g},{true_std[i]:.17g},{est_std[i]:.17g}\n")
+if code := cli.run(["gp-demo", "--out", path, "--no-timestamp"]):
+    sys.exit(code)
+table = np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
+obs, curve = table[table["kind"] == "obs"], table[table["kind"] == "curve"]
+sx, fx = obs["x"], obs["mean_or_value"]
+true_std, est_std = curve["true_std"], curve["est_std"]
 
-interp_err = np.abs(model.mean(f(sx), S) - f(sx)).max()
+S = PointSet(sx[:, None])
+model = fit(S, KernelConfig(sigma=cli.GP_DEMO_SIGMA, beta=cli.GP_DEMO_BETA))
+interp_err = np.abs(model.mean(fx, S) - fx).max()
 std_mae = np.abs(true_std - est_std).mean()
 gaps = np.diff(sx)
-print(f"observations: 15 points, widest gap {gaps.max():.3f}, narrowest {gaps.min():.3f}")
+print(f"observations: {len(sx)} points, widest gap {gaps.max():.3f}, narrowest {gaps.min():.3f}")
 print(f"mean interpolates the data to {interp_err:.1e}")
 print(f"mean absolute error of the estimated std band: {std_mae:.4f}")
 print(f"largest true std {true_std.max():.3f} vs estimated {est_std.max():.3f}")

@@ -1,67 +1,35 @@
 """Low-rank vs low-rank-plus-sparse kernel approximation at equal storage.
 
-On 1000 standard-normal points in R^3 with sigma = 0.5, a plain landmark
-approximation barely improves in the max norm as its rank grows (the residual
-is dominated by close point pairs away from the landmarks), while spending
-the same storage on an exact sparse correction over distance-thresholded
-pairs cuts the max-norm error by orders of magnitude.
+Runs ``covfield lrsp``.  On 1000 standard-normal points in R^3 with
+sigma = 0.5, a plain landmark approximation barely improves in the max norm
+as its rank grows (the residual is dominated by close point pairs away from
+the landmarks), while spending the same storage on an exact sparse
+correction over distance-thresholded pairs cuts the max-norm error by orders
+of magnitude.
 """
 
 import os
+import sys
 
 import numpy as np
 
-from covfield import (
-    KernelConfig,
-    cost_equivalent_rank,
-    distance_matrix,
-    generate_gaussian_cloud,
-    kernel_matrix,
-    lowrank_dense,
-    lowrank_sweep,
-    lrsp_sweep,
-    nystrom_build,
-)
+from covfield import cli
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
-X = generate_gaussian_cloud(1000, 3, 42)
-cfg = KernelConfig(sigma=0.5)
-K = kernel_matrix(X, X, cfg)
-perm = np.random.default_rng(43).permutation(X.n)
-v = np.random.default_rng(44).standard_normal(X.n)
+path = os.path.join(OUT, "lrsp_error_curves.csv")
+if code := cli.run(["lrsp", "--delta-sweep", "2:10:1", "--rank-sweep", "100:660:80",
+                    "--out", path, "--no-timestamp"]):
+    sys.exit(code)
+table = np.loadtxt(path, delimiter=",", skiprows=1)
+radius_rows = table[~np.isnan(table[:, 2])]   # rank rows carry no LRSP error
 
-
-# landmarks are nested prefixes of one permutation, so every rank used below
-# is a slice of one factor at the largest rank (pattern nnz <= n^2)
-full = nystrom_build(X, perm[: int(np.ceil(cost_equivalent_rank(100, X.n, X.n**2)))], cfg)
-
-# the exact sparse correction is the rank-100 residual R0 itself on the
-# pattern, so the LRSP error is R0 with the pattern zeroed: one pass over
-# the radii zeroes R0's nested patterns in place
-mults = range(2, 11)
-sparse = lrsp_sweep(K - lowrank_dense(full.prefix(100)), distance_matrix(X),
-                    [mult * cfg.sigma for mult in mults], v)
-k_eq = [cost_equivalent_rank(100, X.n, nnz) for nnz, _, _ in sparse]
-matched = [min(int(round(k)), X.n) for k in k_eq]
-# one pass of rank-block downdates of K serves the matched and the flat ranks
-flat_ranks = range(100, 661, 80)
-lr = lowrank_sweep(K, full, matched + list(flat_ranks), v)
-
-rows = [(k, lr[kk][0], lrsp_max, lr[kk][1], lrsp_two)
-        for k, kk, (_, lrsp_max, lrsp_two) in zip(k_eq, matched, sparse)]
 print(f"{'delta':>6} {'equiv rank':>10} {'LR max':>10} {'LRSP max':>10} {'LR 2-norm':>10} {'LRSP 2-norm':>11}")
-for mult, (k, lr_max, lrsp_max, lr_two, lrsp_two) in zip(mults, rows):
+for mult, (k, lr_max, lrsp_max, lr_two, lrsp_two) in enumerate(radius_rows, start=2):
     print(f"{mult:>5}s {k:>10.1f} {lr_max:>10.3e} {lrsp_max:>10.3e} {lr_two:>10.3e} {lrsp_two:>11.3e}")
 
-path = os.path.join(OUT, "lrsp_error_curves.csv")
-with open(path, "w") as fh:
-    fh.write("equiv_rank,lr_max,lrsp_max,lr_2norm,lrsp_2norm\n")
-    for r in rows:
-        fh.write(",".join(f"{x:.17g}" for x in r) + "\n")
-
-flat = [lr[r][0] for r in flat_ranks]
+flat = table[np.isnan(table[:, 2]), 1]
 print(f"\nplain low-rank max-norm error across ranks 100..660: "
       f"{min(flat):.3e} .. {max(flat):.3e} (flat within x{max(flat)/min(flat):.2f})")
 print(f"-> {path}")

@@ -94,10 +94,17 @@ def _grid_rows(g: PointSet, *mats: np.ndarray):
         yield from zip(repeat(x), xs, *cells)
 
 
+def _at_least(args, **lows: int) -> None:
+    for dest, lo in lows.items():   # before any kernel work, naming the flag
+        if (value := getattr(args, dest)) < lo:
+            raise CovfieldError(f"--{dest.replace('_', '-')} must be >= {lo}, got {value}")
+
+
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_field(args):
+    _at_least(args, grid=1)
     S = _load_observations(args)
     if S.d != 1:
         raise CovfieldError("field expects 1-d observations")
@@ -117,6 +124,7 @@ def _disk_points(rng, count: int) -> np.ndarray:
 
 
 def _cmd_field2d(args):
+    _at_least(args, grid=1, n_obs=1)
     rng = np.random.default_rng(args.seed)
     S = PointSet(_disk_points(rng, args.n_obs))
     xstar = _disk_points(rng, 1)[0]
@@ -133,6 +141,7 @@ def _cmd_field2d(args):
 
 
 def _cmd_bounds(args):
+    _at_least(args, grid=1)
     sigma = args.sigma if args.sigma is not None else BOUNDS_DEFAULT_SIGMA[args.condition]
     S = _load_observations(args)
     model = fit(S, KernelConfig(sigma=sigma))
@@ -154,6 +163,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_estimate(args):
+    _at_least(args, grid=1)
     S = _load_observations(args)
     model = fit(S, KernelConfig(sigma=args.sigma))
     g = _unit_grid(args.grid)
@@ -163,6 +173,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_gp_demo(args):
+    _at_least(args, n_obs=2, grid=1)
     rng = np.random.default_rng(args.seed)
     sx = np.sort(rng.uniform(0.0, 1.0, args.n_obs))
     S = PointSet(sx[:, None])
@@ -183,6 +194,7 @@ def _cmd_gp_demo(args):
 
 
 def _cmd_svd(args):
+    _at_least(args, equispaced=1)
     if not 1 <= args.k <= args.equispaced:
         raise CovfieldError(f"--k must lie in [1, --equispaced = {args.equispaced}], got {args.k}")
     X = _unit_grid(args.equispaced)
@@ -208,6 +220,7 @@ def _parse_sweep(text: str, name: str, max_len: int) -> tuple[float, float, floa
 
 
 def _cmd_lrsp(args):
+    _at_least(args, n=1, d=1)
     n = args.n
     # every flag is checked before any factor work; ranks round to integers
     # in [1, n] and n points have at most n(n-1)/2 + 1 distinct radius
@@ -255,6 +268,7 @@ def _cmd_lrsp(args):
 def _cmd_precond(args):
     # every flag is checked before any kernel work; r needs n, so it is
     # checked once the data are loaded
+    _at_least(args, n=1, d=1)
     if not 0 < args.tol < math.inf:
         raise CovfieldError(f"--tol must be a finite number > 0, got {args.tol}")
     if args.maxit < 1:
@@ -286,6 +300,7 @@ def _cmd_precond(args):
 
 
 def _cmd_gen(args):
+    _at_least(args, n=1, d=1)
     X = generate_gaussian_cloud(args.n, args.d, args.seed)
     return [f"x{i}" for i in range(args.d)], (tuple(row) for row in X.coords)
 

@@ -20,7 +20,9 @@ from covfield import (
     preset_observations,
     sparse_correction,
 )
+from covfield import bounds as bounds_mod
 from covfield import cli as cli_mod
+from covfield import estimators as est_mod
 from covfield import kernel as kernel_mod
 from covfield import lrsp as lrsp_mod
 from covfield import posterior as posterior_mod
@@ -168,6 +170,39 @@ class TestUsageAndErrors:
         out = tmp_path / "x.csv"
         assert run(["field", "--obs", str(tmp_path / "missing.csv"),
                     "--sigma", "0.1", "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["field", "--preset", "uniform1d", "--sigma", "0.1", "--grid", "0"], "--grid"),
+        (["field", "--preset", "uniform1d", "--sigma", "0.1", "--grid", "-3"], "--grid"),
+        (["field2d", "--grid", "-1"], "--grid"),
+        (["field2d", "--n-obs", "0"], "--n-obs"),
+        (["gp-demo", "--n-obs", "0"], "--n-obs"),
+        (["gp-demo", "--n-obs", "1"], "--n-obs"),   # the variance estimator needs two
+        (["gp-demo", "--grid", "0"], "--grid"),
+        (["bounds", "--condition", "1", "--grid", "0"], "--grid"),
+        (["estimate", "--preset", "uniform1d", "--sigma", "0.1", "--grid", "0"], "--grid"),
+        (["gen", "--n", "0", "--d", "2"], "--n"),
+        (["gen", "--n", "5", "--d", "0"], "--d"),
+        (["lrsp", "--n", "0"], "--n"),
+        (["lrsp", "--d", "0"], "--d"),
+        (["precond", "--n", "0"], "--n"),
+        (["precond", "--d", "0"], "--d"),
+        (["svd", "--sigma", "0.1", "--equispaced", "0", "--k", "1"], "--equispaced"),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
+    def test_grid_and_count_flags_fail_before_kernel_work(
+            self, tmp_path, capsys, monkeypatch, argv, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("kernel work started")
+
+        for mod in (kernel_mod, posterior_mod, precond_mod, lrsp_mod, bounds_mod, est_mod,
+                    cli_mod):
+            monkeypatch.setattr(mod, "kernel_matrix", never)
+        out = tmp_path / "o.csv"
+        assert run([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ")
+        assert not out.exists()
 
 
 class TestSvdCommand:
