@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import PointSet, as_point
+from .geometry import PointSet, as_point, sq_dists
 from .kernel import _pair_kernel, kernel_matrix
 from .posterior import PosteriorModel
 
@@ -117,7 +117,7 @@ def estimate_curve(
 
     ys = as_point(y_star, grid.d)
     cfg = model.cfg
-    dist_to_ystar = np.linalg.norm(grid.coords - ys, axis=1)
+    dist_to_ystar = np.sqrt(sq_dists(ys, grid.coords))
     if condition == 1:
         mask = dist_to_ystar > 3.0 * cfg.sigma
     elif condition == 2:

@@ -74,9 +74,11 @@ def _write_csv(path, header, rows, timestamp: bool) -> int:
 
 
 def _load_observations(args) -> PointSet:
-    if getattr(args, "obs", None):
-        return load_csv(args.obs)
-    return preset_observations(args.preset)
+    # only bounds leaves both flags unset, which selects its default preset
+    S = load_csv(args.obs) if args.obs else preset_observations(args.preset or "uniform1d")
+    if S.d != 1:   # before any kernel work
+        raise CovfieldError(f"--obs must hold 1-d points, got d = {S.d}")
+    return S
 
 
 def _unit_grid(n: int) -> PointSet:
@@ -106,8 +108,6 @@ def _at_least(args, **lows: int) -> None:
 def _cmd_field(args):
     _at_least(args, grid=1)
     S = _load_observations(args)
-    if S.d != 1:
-        raise CovfieldError("field expects 1-d observations")
     model = fit(S, KernelConfig(sigma=args.sigma, tau=args.tau))
     g = _unit_grid(args.grid)
     R = np.abs(model.cov_matrix(g, g))
@@ -124,7 +124,7 @@ def _disk_points(rng, count: int) -> np.ndarray:
 
 
 def _cmd_field2d(args):
-    _at_least(args, grid=1, n_obs=1)
+    _at_least(args, grid=1, n_obs=1, seed=0)
     rng = np.random.default_rng(args.seed)
     S = PointSet(_disk_points(rng, args.n_obs))
     xstar = _disk_points(rng, 1)[0]
@@ -142,6 +142,8 @@ def _cmd_field2d(args):
 
 def _cmd_bounds(args):
     _at_least(args, grid=1)
+    if not math.isfinite(args.ystar):
+        raise CovfieldError(f"--ystar must be finite, got {args.ystar}")
     sigma = args.sigma if args.sigma is not None else BOUNDS_DEFAULT_SIGMA[args.condition]
     S = _load_observations(args)
     model = fit(S, KernelConfig(sigma=sigma))
@@ -173,7 +175,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_gp_demo(args):
-    _at_least(args, n_obs=2, grid=1)
+    _at_least(args, n_obs=2, grid=1, seed=0)
     rng = np.random.default_rng(args.seed)
     sx = np.sort(rng.uniform(0.0, 1.0, args.n_obs))
     S = PointSet(sx[:, None])
@@ -220,7 +222,7 @@ def _parse_sweep(text: str, name: str, max_len: int) -> tuple[float, float, floa
 
 
 def _cmd_lrsp(args):
-    _at_least(args, n=1, d=1)
+    _at_least(args, n=1, d=1, seed=0)
     n = args.n
     # every flag is checked before any factor work; ranks round to integers
     # in [1, n] and n points have at most n(n-1)/2 + 1 distinct radius
@@ -268,19 +270,19 @@ def _cmd_lrsp(args):
 def _cmd_precond(args):
     # every flag is checked before any kernel work; r needs n, so it is
     # checked once the data are loaded
-    _at_least(args, n=1, d=1)
+    _at_least(args, n=1, d=1, maxit=1, seed=0)
     if not 0 < args.tol < math.inf:
         raise CovfieldError(f"--tol must be a finite number > 0, got {args.tol}")
-    if args.maxit < 1:
-        raise CovfieldError(f"--maxit must be >= 1, got {args.maxit}")
     if args.delta is not None and not 0 <= args.delta < math.inf:
         raise CovfieldError(f"--delta must be a finite number >= 0, got {args.delta}")
     if not math.isfinite(args.r_fraction):
         raise CovfieldError(f"--r-fraction must be finite, got {args.r_fraction}")
     if args.data:
         X = load_csv(args.data)
-        if args.subsample is not None:
-            X = subsample(X, args.subsample, args.seed)
+        if (m := args.subsample) is not None:
+            if not 1 <= m <= X.n:
+                raise CovfieldError(f"--subsample out of range: need 1 <= m <= {X.n}, got {m}")
+            X = subsample(X, m, args.seed)
         if args.standardize:
             X = standardize(X)
     else:
@@ -300,7 +302,7 @@ def _cmd_precond(args):
 
 
 def _cmd_gen(args):
-    _at_least(args, n=1, d=1)
+    _at_least(args, n=1, d=1, seed=0)
     X = generate_gaussian_cloud(args.n, args.d, args.seed)
     return [f"x{i}" for i in range(args.d)], (tuple(row) for row in X.coords)
 
@@ -314,8 +316,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="omit the leading timestamp comment line")
 
 
-def _add_observation_source(p: argparse.ArgumentParser) -> None:
-    grp = p.add_mutually_exclusive_group(required=True)
+def _add_observation_source(p: argparse.ArgumentParser, required: bool = True) -> None:
+    grp = p.add_mutually_exclusive_group(required=required)
     grp.add_argument("--preset", choices=["uniform1d", "nonuniform1d"])
     grp.add_argument("--obs", help="CSV of observation points")
 
@@ -350,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ystar", type=float, default=0.15)
     p.add_argument("--sigma", type=float, default=None,
                    help="default 0.05/0.05/0.4 for conditions 1/2/3")
-    p.add_argument("--preset", choices=["uniform1d", "nonuniform1d"], default="uniform1d")
-    p.add_argument("--obs", default=None)
+    _add_observation_source(p, required=False)
     p.add_argument("--grid", type=int, default=101)
     _add_common(p)
     p.set_defaults(func=_cmd_bounds)

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDataError, UnsupportedDimensionError
-from .geometry import PointSet, as_point, sq_dists
+from .geometry import PointSet, as_point, dist_to_set, sq_dists
 from .kernel import KernelConfig, kernel_matrix
 from .posterior import PosteriorModel
 
@@ -31,17 +32,9 @@ class DistMetrics(NamedTuple):
     cumulative: float   # sqrt(sum_i ||x - s_i||^2) / sigma
 
 
-def _dists_to_obs(x: np.ndarray, S: PointSet) -> np.ndarray:
-    """All r distances from the point x to the observation points (the O(r)
-    kernel all estimators are built from), the values ``dist_to_set`` takes
-    the min of."""
-    return np.sqrt(sq_dists(x, S.coords))
-
-
 def dist_metrics(x, S: PointSet, sigma: float) -> DistMetrics:
     """Nearest-point and cumulative distance of x to S, in units of sigma."""
-    p = as_point(x, S.d)
-    d = _dists_to_obs(p, S)
+    d = np.sqrt(sq_dists(as_point(x, S.d), S.coords))
     return DistMetrics(float(d.min()) / sigma, float(np.sqrt(np.add.reduce(d * d))) / sigma)
 
 
@@ -50,8 +43,8 @@ def field_estimator_small(x, y, S: PointSet, sigma: float) -> float:
     sqrt(nearest(x) * nearest(y)) * exp(-||x-y||^2 / (2 sigma^2))."""
     px = as_point(x, S.d)
     py = as_point(y, S.d)
-    hx = float(_dists_to_obs(px, S).min()) / sigma
-    hy = float(_dists_to_obs(py, S).min()) / sigma
+    hx = dist_to_set(px, S)[0] / sigma
+    hy = dist_to_set(py, S)[0] / sigma
     t = px - py
     sq = float(np.add.reduce(t * t))
     return math.sqrt(hx * hy) * math.exp(-sq / (2.0 * sigma**2))
@@ -75,11 +68,11 @@ def estimator_field(X: PointSet, S: PointSet, sigma: float) -> np.ndarray:
     small-bandwidth form for sigma < ``FIELD_REGIME_CUT``, the large one
     otherwise.  The grid form of ``field_estimator_small``/``_large``; its
     products are taken in another order, so the last bits may differ."""
-    m = [dist_metrics(p, S, sigma) for p in X.coords]
-    near = np.array([q.nearest for q in m])
+    D = cdist(X.coords, S.coords)
+    near = D.min(axis=1) / sigma
     if sigma < FIELD_REGIME_CUT:
         return np.sqrt(np.outer(near, near)) * kernel_matrix(X, X, KernelConfig(sigma=sigma))
-    h = near * np.array([q.cumulative for q in m])
+    h = near * (np.sqrt(np.add.reduce(D * D, axis=1)) / sigma)
     return np.outer(h, h)
 
 
@@ -98,7 +91,7 @@ def absolute_field(values: np.ndarray, ref_max: float) -> np.ndarray:
 def variance_estimator_small(x, S: PointSet, cfg: KernelConfig) -> float:
     """beta * (1 - exp(-dist(x,S)^2 / (2 sigma^2))): exact on S, tends to the
     prior variance beta far from S.  Small-bandwidth regime."""
-    nu = float(_dists_to_obs(as_point(x, S.d), S).min())
+    nu = dist_to_set(x, S)[0]
     return cfg.beta * (1.0 - math.exp(-(nu**2) / (2.0 * cfg.sigma**2)))
 
 
@@ -136,11 +129,9 @@ def variance_estimator_large(x, refs: ReferencePointSet, S: PointSet, cfg: Kerne
     nearest reference point by the ratio of distances to S."""
     if refs.points.n < 1:
         raise ValueError("reference set is empty")
-    p = as_point(x, S.d)
-    iz = int(_dists_to_obs(p, refs.points).argmin())
-    z = refs.points.coords[iz]
-    dx = float(_dists_to_obs(p, S).min())
-    dz = float(_dists_to_obs(z, S).min())
+    iz = dist_to_set(x, refs.points)[1]
+    dx = dist_to_set(x, S)[0]
+    dz = dist_to_set(refs.points.coords[iz], S)[0]
     return (dx / dz) * float(refs.variances[iz])
 
 

@@ -9,6 +9,9 @@ posterior mean, the posterior covariance field
 the posterior variance R(x, x), and the grid supremum of the cross-weight
 norm ||(K_SS + tau^2 I)^{-1} K_Sy||_p.
 
+With tau = 0 and no jitter, a point at squared distance 0 from an observation
+takes that observation's basis vector as its cross weights, so R vanishes on S.
+
 Every result is a pure function of the model and the query.  The only
 mutable state is a bounded memo of per-point terms (kernel row, cross
 weights, distance to S, weight norm), so the bounds and ``cov`` at one pair
@@ -24,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrs
+from scipy.spatial.distance import cdist
 
 from .errors import IllConditionedKernelError, NumericalConsistencyError
 from .geometry import PointSet, as_point, sq_dists
@@ -62,11 +66,13 @@ class PointTerms(NamedTuple):
 
 @dataclass(frozen=True)
 class PosteriorModel:
+    """A factored observation set; one built directly from its public fields
+    evaluates exactly as the one ``fit`` returns."""
+
     S: PointSet
     cfg: KernelConfig
     chol: np.ndarray = field(repr=False)          # lower factor of K_SS + (tau^2 + jitter) I
     jitter_used: float = 0.0
-    _obs_index: dict = field(repr=False, default_factory=dict)
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
@@ -75,12 +81,8 @@ class PosteriorModel:
 
     @property
     def _exact_at_obs(self) -> bool:
-        # with tau = 0 and no jitter, the cross weights at an observation
-        # point are exactly a standard basis vector
+        # tau = 0, no jitter: the weights at a point of S are exactly its basis vector
         return self.cfg.tau == 0.0 and self.jitter_used == 0.0
-
-    def _lookup_obs(self, y: np.ndarray) -> int | None:
-        return self._obs_index.get(y.tobytes())
 
     def _point(self, x) -> tuple[np.ndarray, PointTerms]:
         """The coerced point p and its ``PointTerms``, memoized on p's bytes.
@@ -98,20 +100,19 @@ class PosteriorModel:
             return p, terms
         if not all(map(math.isfinite, p.tolist())):
             raise ValueError("coordinates must be finite")
-        # one pass over S gives both the kernel row and dist(p, S)
+        # one pass over S gives the kernel row, dist(p, S) and whether p is in S
         sq = sq_dists(p, self.S.coords)
         k = _kernel_row(sq, self.cfg)
-        j = self._lookup_obs(p) if self._exact_at_obs else None
-        if j is not None:
-            w = np.zeros(self.r)
-            w[j] = 1.0
+        nearest = min(sq.tolist())
+        if nearest == 0.0 and self._exact_at_obs:
+            w = (sq == 0.0) * 1.0
         else:
             # dpotrs is the LAPACK solve behind cho_solve, minus its per-call checks
             w, info = dpotrs(self.chol, k, lower=1)
             if info != 0:
                 raise NumericalConsistencyError(f"dpotrs failed with info = {info}")
         # sqrt is monotone and correctly rounded: sqrt(min sq) is min sqrt(sq)
-        terms = PointTerms(k, w, math.sqrt(min(sq.tolist())), math.sqrt(float(w @ w)))
+        terms = PointTerms(k, w, math.sqrt(nearest), math.sqrt(float(w @ w)))
         if len(self._memo) >= _MEMO_SIZE:
             self._memo.clear()
         self._memo[key] = terms
@@ -182,8 +183,7 @@ def fit(S: PointSet, cfg: KernelConfig) -> PosteriorModel:
     if cfg.tau > 0:
         K = K + cfg.tau**2 * np.eye(S.n)
     L, jitter = jittered_cholesky(K, cfg.beta)
-    index = {S.coords[i].tobytes(): i for i in range(S.n)}
-    return PosteriorModel(S=S, cfg=cfg, chol=L, jitter_used=jitter, _obs_index=index)
+    return PosteriorModel(S=S, cfg=cfg, chol=L, jitter_used=jitter)
 
 
 def max_cross_weight_norm(model: PosteriorModel, grid: PointSet, p=2) -> float:
@@ -200,9 +200,7 @@ def max_cross_weight_norm(model: PosteriorModel, grid: PointSet, p=2) -> float:
     K = kernel_matrix(model.S, grid, model.cfg)
     W = cho_solve((model.chol, True), K)
     if model._exact_at_obs:
-        for i in range(grid.n):
-            j = model._lookup_obs(grid.coords[i])
-            if j is not None:
-                W[:, i] = 0.0
-                W[j, i] = 1.0
+        # a grid point at squared distance 0 from an observation takes its basis vector
+        at = cdist(model.S.coords, grid.coords, "sqeuclidean") == 0.0
+        W = np.where(at.any(axis=0), at, W)
     return float(np.max(np.linalg.norm(W, ord=p, axis=0)))

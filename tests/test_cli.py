@@ -188,6 +188,17 @@ class TestUsageAndErrors:
         (["precond", "--n", "0"], "--n"),
         (["precond", "--d", "0"], "--d"),
         (["svd", "--sigma", "0.1", "--equispaced", "0", "--k", "1"], "--equispaced"),
+        (["gen", "--n", "5", "--d", "2", "--seed", "-1"], "--seed"),
+        (["field2d", "--seed", "-1"], "--seed"),
+        (["gp-demo", "--seed", "-1"], "--seed"),
+        (["lrsp", "--seed", "-1"], "--seed"),
+        (["precond", "--seed", "-1"], "--seed"),
+        # {2d} stands for a CSV of 2-d points
+        (["field", "--obs", "{2d}", "--sigma", "0.1"], "--obs"),
+        (["estimate", "--obs", "{2d}", "--sigma", "0.1"], "--obs"),
+        (["bounds", "--condition", "1", "--obs", "{2d}"], "--obs"),
+        (["bounds", "--condition", "1", "--ystar", "nan"], "--ystar"),
+        (["precond", "--data", "{2d}", "--subsample", "0"], "--subsample"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
     def test_grid_and_count_flags_fail_before_kernel_work(
             self, tmp_path, capsys, monkeypatch, argv, flag):
@@ -197,8 +208,10 @@ class TestUsageAndErrors:
         for mod in (kernel_mod, posterior_mod, precond_mod, lrsp_mod, bounds_mod, est_mod,
                     cli_mod):
             monkeypatch.setattr(mod, "kernel_matrix", never)
+        data = tmp_path / "pts2d.csv"
+        np.savetxt(data, np.random.default_rng(0).uniform(0.0, 1.0, (6, 2)), delimiter=",")
         out = tmp_path / "o.csv"
-        assert run([*argv, "--out", str(out)]) == 1
+        assert run([*(a.replace("{2d}", str(data)) for a in argv), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} ")
@@ -244,6 +257,25 @@ class TestBoundsCommand:
             assert len(rows) == 101
             flags = [int(r[1]) for r in rows]
             assert 0 < sum(flags) <= 101
+
+    def test_obs_file_reads_as_the_preset(self, tmp_path):
+        obs = tmp_path / "s.csv"
+        np.savetxt(obs, preset_observations("nonuniform1d").coords, delimiter=",")
+        outs = []
+        for source in (["--obs", str(obs)], ["--preset", "nonuniform1d"]):
+            outs.append(tmp_path / f"{source[0][2:]}.csv")
+            assert run(["bounds", "--condition", "2", *source, "--out", str(outs[-1]),
+                        "--no-timestamp"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("preset", ["uniform1d", "nonuniform1d"])
+    def test_preset_and_obs_together_is_usage_error(self, tmp_path, preset):
+        obs = tmp_path / "s.csv"
+        np.savetxt(obs, [0.1, 0.5, 0.9])
+        out = tmp_path / "b.csv"
+        assert run(["bounds", "--condition", "1", "--preset", preset, "--obs", str(obs),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestEstimateCommand:

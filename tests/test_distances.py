@@ -58,9 +58,9 @@ def old_terms(model, p):
     S, cfg = model.S, model.cfg
     k = cfg.beta * np.exp(-cdist(S.coords, p[None, :], "sqeuclidean")[:, 0]
                           / (2.0 * cfg.sigma**2))
-    j = model._lookup_obs(p) if model._exact_at_obs else None
-    if j is not None:
-        w = np.eye(model.r)[j]
+    on = np.flatnonzero((S.coords == p).all(axis=1)) if model._exact_at_obs else []
+    if len(on):
+        w = np.eye(model.r)[on[0]]
     else:
         w = dpotrs(model.chol, k, lower=1)[0]
     return k, w, float(old_dists(p, S.coords).min()), float(np.linalg.norm(w))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import covfield.estimators as est_mod
+import covfield.geometry as geo_mod
 from covfield import (
     DegenerateDataError,
     KernelConfig,
@@ -9,14 +11,17 @@ from covfield import (
     UnsupportedDimensionError,
     absolute_field,
     dist_metrics,
+    estimator_field,
     field_estimator_large,
     field_estimator_small,
     fit,
+    kernel_matrix,
     reference_points_1d,
     variance_estimator_auto,
     variance_estimator_large,
     variance_estimator_small,
 )
+from covfield.estimators import FIELD_REGIME_CUT
 
 from conftest import dense_posterior_oracle, unit_grid
 
@@ -85,13 +90,15 @@ class TestFieldEstimators:
 
     def test_per_query_cost_is_linear_in_r(self, uniform1d, monkeypatch):
         calls = []
-        orig = est_mod._dists_to_obs
+        orig = geo_mod.sq_dists
 
-        def counting(x, S):
-            calls.append(len(S))
-            return orig(x, S)
+        def counting(p, C):
+            calls.append(len(C))
+            return orig(p, C)
 
-        monkeypatch.setattr(est_mod, "_dists_to_obs", counting)
+        # both bindings, so distances taken through dist_to_set are counted too
+        monkeypatch.setattr(geo_mod, "sq_dists", counting)
+        monkeypatch.setattr(est_mod, "sq_dists", counting)
         field_estimator_small(0.31, 0.44, uniform1d, 0.1)
         assert len(calls) == 2 and all(c == uniform1d.n for c in calls)
         calls.clear()
@@ -100,6 +107,38 @@ class TestFieldEstimators:
         calls.clear()
         variance_estimator_small(0.31, uniform1d, KernelConfig(sigma=0.1))
         assert len(calls) == 1
+
+
+class TestEstimatorField:
+    @staticmethod
+    def per_point(X, S, sigma):
+        """The grid field from one ``dist_metrics`` formula per point of X."""
+        near, cum = [], []
+        for p in X.coords:
+            d = np.sqrt(cdist(p[None, :], S.coords, "sqeuclidean")[0])
+            near.append(float(d.min()) / sigma)
+            cum.append(float(np.sqrt(np.add.reduce(d * d))) / sigma)
+        near = np.array(near)
+        if sigma < FIELD_REGIME_CUT:
+            return np.sqrt(np.outer(near, near)) * kernel_matrix(X, X, KernelConfig(sigma=sigma))
+        h = near * np.array(cum)
+        return np.outer(h, h)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("sigma", [0.1, 0.4])   # one per regime
+    def test_bitwise_equal_to_per_point_form(self, d, sigma):
+        rng = np.random.default_rng(d)
+        S = PointSet(rng.uniform(0.0, 1.0, (9, d)))
+        X = PointSet(np.vstack([rng.uniform(0.0, 1.0, (40, d)), S.coords[::2]]))
+        got = estimator_field(X, S, sigma)
+        assert got.tobytes() == self.per_point(X, S, sigma).tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.25, 0.6])
+    def test_bitwise_equal_on_the_presets(self, uniform1d, nonuniform1d, sigma):
+        for S in (uniform1d, nonuniform1d):
+            X = unit_grid(101)
+            got = estimator_field(X, S, sigma)
+            assert got.tobytes() == self.per_point(X, S, sigma).tobytes()
 
 
 class TestAbsoluteField:

@@ -15,6 +15,7 @@ from covfield import (
     kernel_eval,
     kernel_matrix,
     max_cross_weight_norm,
+    preset_observations,
 )
 from covfield.posterior import _MEMO_SIZE, PosteriorModel
 
@@ -361,17 +362,53 @@ class TestPosteriorVariance:
     def test_consistency_guard(self, uniform1d):
         cfg = KernelConfig(sigma=0.1)
         good = fit(uniform1d, cfg)
-        broken = PosteriorModel(
-            S=uniform1d, cfg=cfg, chol=0.05 * good.chol, jitter_used=0.0, _obs_index={}
-        )
+        broken = PosteriorModel(S=uniform1d, cfg=cfg, chol=0.05 * good.chol, jitter_used=0.0)
         with pytest.raises(NumericalConsistencyError):
-            broken.variance(0.5)
+            broken.variance(0.45)   # off S: on S the exact path returns 0
+
+
+    def test_directly_built_model_is_exact_on_observations(self):
+        # no state beyond the public fields: a model built from S, cfg and
+        # fit's factor is as exact on S as the one fit returns
+        for name in ("uniform1d", "nonuniform1d"):
+            S = preset_observations(name)
+            for sigma in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4):
+                cfg = KernelConfig(sigma=sigma)
+                fitted = fit(S, cfg)
+                assert fitted.jitter_used == 0.0
+                model = PosteriorModel(S=S, cfg=cfg, chol=fitted.chol)
+                assert [model.variance(s) for s in S.coords] == [0.0] * S.n, (name, sigma)
+                assert max_cross_weight_norm(model, S) == 1.0, (name, sigma)
 
 
 class TestMaxCrossWeightNorm:
+    @staticmethod
+    def per_point(model, grid, p):
+        """The grid maximum with each column on S patched one point at a time."""
+        W = cho_solve((model.chol, True), kernel_matrix(model.S, grid, model.cfg))
+        if model._exact_at_obs:
+            for i, g in enumerate(grid.coords):
+                on = np.flatnonzero((model.S.coords == g).all(axis=1))
+                if len(on):
+                    W[:, i] = 0.0
+                    W[on[0], i] = 1.0
+        return float(np.max(np.linalg.norm(W, ord=p, axis=0)))
+
     def test_equals_one_on_observations(self, uniform1d):
         model = fit(uniform1d, KernelConfig(sigma=0.1))
         assert max_cross_weight_norm(model, uniform1d, 2) == 1.0
+
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    @pytest.mark.parametrize("d, tau", [(1, 0.0), (2, 0.0), (1, 0.1)])
+    def test_bitwise_equal_to_per_point_patch(self, p, d, tau):
+        rng = np.random.default_rng(d)
+        S = PointSet(rng.uniform(0.0, 1.0, (7, d)))
+        # points of S, in another order and once twice, among points off S
+        grid = PointSet(np.vstack([rng.uniform(0.0, 1.0, (30, d)), S.coords[::-1],
+                                   S.coords[:1]]))
+        for sigma in (0.02, 0.1, 0.4):
+            model = fit(S, KernelConfig(sigma=sigma, tau=tau))
+            assert max_cross_weight_norm(model, grid, p) == self.per_point(model, grid, p), sigma
 
     def test_small_bandwidth_limit(self, uniform1d):
         model = fit(uniform1d, KernelConfig(sigma=0.01))
