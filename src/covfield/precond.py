@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dtrtrs
 from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import DivergenceError, IllConditionedKernelError
@@ -139,6 +141,18 @@ def fsai_build(block_fn, pattern: list[np.ndarray]) -> sp.csr_matrix:
     return sp.csr_matrix((np.concatenate(rows), np.concatenate(pattern), indptr), shape=(n, n))
 
 
+def _trtrs(UT: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """Solve with the upper triangular Fortran array UT (or its transpose,
+    ``trans=1``) in place of the fresh vector b; errors as in
+    ``solve_triangular``."""
+    x, info = dtrtrs(UT, b, lower=0, trans=trans, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 @dataclass(frozen=True)
 class AfnPreconditioner:
     perm: np.ndarray = field(repr=False)     # X order -> [S; T]
@@ -159,18 +173,25 @@ class AfnPreconditioner:
         return self.G.nnz / float(nT * nT)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        """M^{-1} v via triangular solves with L and matvecs with G."""
+        """M^{-1} v via triangular solves with L and matvecs with G.
+
+        Both solves are LAPACK's trtrs on the Fortran view L^T, the call
+        ``solve_triangular`` makes for a C-ordered L; v is checked for
+        non-finite entries once, L never."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}")
-        vp = v[self.perm]
-        vS, vT = vp[: self.r], vp[self.r:]
-        yS = solve_triangular(self.L, vS, lower=True)
-        yT = self.G @ (vT - self.W.T @ yS)
-        zT = self.GT @ yT
-        zS = solve_triangular(self.L.T, yS - self.W @ zT, lower=False)
+        if not np.isfinite(v).all():
+            raise ValueError("array must not contain infs or NaNs")
+        S, T = self.perm[: self.r], self.perm[self.r:]
+        vT = v[T]
+        yS = _trtrs(self.L.T, v[S], trans=1)     # L yS = vS
+        vT -= self.W.T @ yS
+        zT = self.GT @ (self.G @ vT)
+        yS -= self.W @ zT
         out = np.empty_like(v)
-        out[self.perm] = np.concatenate([zS, zT])
+        out[S] = _trtrs(self.L.T, yS, trans=0)   # L^T zS = yS - W zT
+        out[T] = zT
         return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -239,7 +260,11 @@ def _afn_on_pattern(perm, schur: SchurComplement, pattern, delta, pattern_seed):
 def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int = 1000):
     """Preconditioned conjugate gradients with an absolute residual stop.
 
-    ``mat_apply`` may be a callable or a dense SPD matrix.  Returns
+    ``mat_apply`` may be a callable or a dense SPD matrix A.  A dense A must
+    be n x n for a length-n ``b``, and only its lower triangle is read: the
+    products are BLAS's symmetric matvec ``dsymv`` (on the Fortran view A^T
+    when A is C-ordered), and an A that is not float64 and C- or
+    F-contiguous is converted once, before the first iteration.  Returns
     ``(solution, iterations, residual_history)`` where the history holds the
     recurrence residual norm after each iteration.  When that norm meets the
     tolerance, the true residual b - A x replaces it (residual replacement,
@@ -256,8 +281,8 @@ def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int =
     """
     if not tol_abs > 0:   # NaN fails too
         raise ValueError("tol_abs must be positive")
-    A = (lambda v, _M=mat_apply: _M @ v) if isinstance(mat_apply, np.ndarray) else mat_apply
     b = np.asarray(b, dtype=float)
+    A = _symmetric_matvec(mat_apply, b) if isinstance(mat_apply, np.ndarray) else mat_apply
     x = np.zeros_like(b)
     res = b.copy()
     hist: list[float] = []
@@ -302,6 +327,18 @@ def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int =
         if best is not None and best_nr < np.linalg.norm(b - A(x)):
             x = best
     return x, it, np.array(hist)
+
+
+def _symmetric_matvec(M: np.ndarray, b: np.ndarray):
+    """v -> M v reading only M's lower triangle; fails fast on a shape that
+    cannot multiply b."""
+    if b.ndim != 1 or M.shape != (b.size, b.size):
+        raise ValueError(f"dense operand of shape {M.shape} does not match b of shape {b.shape}")
+    if M.dtype != np.float64 or not (M.flags.c_contiguous or M.flags.f_contiguous):
+        M = np.ascontiguousarray(M, dtype=np.float64)
+    # the lower triangle of M is the upper one of the Fortran view M^T
+    F, lower = (M, 1) if M.flags.f_contiguous else (M.T, 0)
+    return lambda v: dsymv(1.0, F, v, lower=lower)
 
 
 def run_methods(

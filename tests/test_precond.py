@@ -1,9 +1,11 @@
 import math
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from covfield import (
     DivergenceError,
@@ -28,6 +30,20 @@ from covfield.posterior import JITTER_LADDER
 def split(X, r, seed):
     perm = np.random.default_rng(seed).permutation(X.n)
     return PointSet(X.coords[perm[:r]]), PointSet(X.coords[perm[r:]])
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def kernel_system(n, d, seed, tau=0.004):
+    """K + tau^2 I on a seeded cloud at the 2nd-percentile bandwidth, and a
+    unit-norm right-hand side."""
+    X = generate_gaussian_cloud(n, d, seed)
+    cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=tau)
+    A = kernel_matrix(X, X, cfg) + tau**2 * np.eye(n)
+    b = np.random.default_rng(seed + 1).standard_normal(n)
+    return A, b / np.linalg.norm(b)
 
 
 class TestSchurComplement:
@@ -226,6 +242,40 @@ class TestAfn:
             want = P.G.T @ y
             np.testing.assert_array_equal((P.GT @ y).view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("pattern", ["geometric", "random"])
+    @pytest.mark.parametrize("d", [3, 8])
+    @pytest.mark.parametrize("tau", [0.004, 0.0])
+    def test_apply_inverse_bitwise_equal_to_former_formula(self, pattern, d, tau):
+        X = generate_gaussian_cloud(300, d, 47)
+        cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=tau)
+        P = afn_build(X, cfg, r=60, pattern=pattern, landmark_seed=48, pattern_seed=49)
+
+        def former(v):
+            vp = v[P.perm]
+            vS, vT = vp[: P.r], vp[P.r:]
+            yS = solve_triangular(P.L, vS, lower=True)
+            yT = P.G @ (vT - P.W.T @ yS)
+            zT = P.GT @ yT
+            zS = solve_triangular(P.L.T, yS - P.W @ zT, lower=False)
+            out = np.empty_like(v)
+            out[P.perm] = np.concatenate([zS, zT])
+            return out
+
+        rng = np.random.default_rng(50)
+        for scale in (1.0, 1e-8, 1e8):
+            for v in scale * rng.standard_normal((5, X.n)):
+                np.testing.assert_array_equal(bits(P.apply_inverse(v)), bits(former(v)))
+
+    def test_apply_inverse_rejects_non_finite(self):
+        X = generate_gaussian_cloud(50, 2, 20)
+        P = afn_build(X, KernelConfig(sigma=0.5), r=10, delta=1.0, landmark_seed=21)
+        for bad, at in ((np.nan, P.perm[0]), (np.nan, P.perm[-1]),
+                        (np.inf, P.perm[0]), (-np.inf, P.perm[-1])):
+            v = np.ones(50)
+            v[at] = bad   # a landmark entry, then a non-landmark one
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                P.apply_inverse(v)
+
     def test_zero_maps_to_zero(self):
         X = generate_gaussian_cloud(50, 2, 20)
         P = afn_build(X, KernelConfig(sigma=0.5), r=10, delta=1.0, landmark_seed=21)
@@ -370,6 +420,55 @@ class TestPcg:
         for tol in (0.0, -1.0, math.nan):   # NaN fails too
             with pytest.raises(ValueError):
                 pcg(np.eye(3), np.ones(3), tol_abs=tol)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_operand_reads_one_triangle(self, order):
+        # NaN in the strict upper triangle changes nothing: not the
+        # iterates, not the checks, not the best-iterate choice at max_iter
+        A, b = kernel_system(120, 3, 51)
+        A = np.asarray(A, order=order)
+        poisoned = A.copy(order=order)
+        poisoned[np.triu_indices(120, 1)] = np.nan
+        for kw in ({"tol_abs": 1e-9}, {"tol_abs": 1e-9, "max_iter": 40}):
+            x, iters, hist = pcg(A, b, **kw)
+            x2, iters2, hist2 = pcg(poisoned, b, **kw)
+            assert iters2 == iters
+            np.testing.assert_array_equal(bits(x2), bits(x))
+            np.testing.assert_array_equal(bits(hist2), bits(hist))
+
+    def test_dense_view_same_bits_as_contiguous_copy(self):
+        A, b = kernel_system(100, 3, 52)
+        big = np.zeros((200, 200))
+        big[::2, ::2] = A
+        view = big[::2, ::2]
+        assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+        x, iters, hist = pcg(view, b, tol_abs=1e-9)
+        x2, iters2, hist2 = pcg(np.ascontiguousarray(view), b, tol_abs=1e-9)
+        assert iters == iters2
+        np.testing.assert_array_equal(bits(x), bits(x2))
+        np.testing.assert_array_equal(bits(hist), bits(hist2))
+
+    def test_dense_operand_not_copied_per_iteration(self):
+        A, b = kernel_system(400, 3, 53)
+        tracemalloc.start()
+        try:
+            _, iters, _ = pcg(A, b, tol_abs=1e-12, max_iter=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert iters == 50
+        assert peak < A.nbytes
+
+    @pytest.mark.parametrize("shape, n", [((3, 4), 4), ((5, 5), 4)])
+    def test_dense_operand_shape_checked_up_front(self, shape, n, monkeypatch):
+        import covfield.precond as precond_mod
+
+        calls = []
+        monkeypatch.setattr(precond_mod, "dsymv", lambda *a, **k: calls.append(1))
+        want = re.escape(f"{shape}") + ".*" + re.escape(f"({n},)")
+        with pytest.raises(ValueError, match=want):
+            pcg(np.ones(shape), np.ones(n))
+        assert calls == []
 
     def test_residual_history_per_iteration(self):
         A = np.diag(np.arange(1.0, 21.0))
