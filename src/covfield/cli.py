@@ -4,9 +4,10 @@ Conventions shared by all subcommands:
 
 * every run is deterministic for fixed flags and seed (PCG64 generators;
   derived seeds are documented per subcommand);
-* output is a CSV with a header row naming all columns and numbers written
-  with 17 significant digits; an initial ``# generated <timestamp>`` comment
-  line can be suppressed with ``--no-timestamp``;
+* output is a CSV with a header row naming all columns; the first row fixes
+  each column as text or as numbers written with 17 significant digits (see
+  ``_write_csv``); an initial ``# generated <timestamp>`` comment line can be
+  suppressed with ``--no-timestamp``;
 * heatmaps are long-form (x, y, value) - plotting is left to external tools;
 * exit codes: 0 success, 2 usage error, 1 runtime error.
 
@@ -21,7 +22,7 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -48,28 +49,25 @@ GP_DEMO_SIGMA = 0.06332725946674625
 PRECOND_DEFAULT_TAU = 0.004   # nugget for the benchmark systems (tau^2 = 1.6e-5)
 BOUNDS_DEFAULT_SIGMA = {1: 0.05, 2: 0.05, 3: 0.4}
 DISK_RADIUS = 0.4
-_FLOAT_FMT = "%.17g"   # every float cell: 17 significant digits
-
-
-def _fmt(v) -> str:
-    if isinstance(v, str):   # a cell formatted by the caller
-        return v
-    if type(v) is float:
-        return _FLOAT_FMT % v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _FLOAT_FMT % float(v)
 
 
 def _write_csv(path, header, rows, timestamp: bool) -> int:
+    """Write ``header`` and ``rows`` to ``path`` and return the row count.
+    The first row fixes each column as ``%s`` (a str cell) or ``%.17g`` (any
+    number; an int below 1e17 prints as its digits), and every row is then
+    one ``%`` with that template, so a row that does not fit it (a str in a
+    number column, a list of two or more cells) raises ``TypeError``."""
+    rows = iter(rows)
+    first = next(rows, None)
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         if timestamp:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
-            n += 1
+        if first is not None:
+            line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in first) + "\n"
+            for n, row in enumerate(chain((first,), rows), 1):
+                fh.write(line % row)
     return n
 
 
@@ -86,14 +84,12 @@ def _unit_grid(n: int) -> PointSet:
 
 
 def _grid_rows(g: PointSet, *mats: np.ndarray):
-    """Rows ``(x_i, x_j, M[i, j] for M in mats)`` over every grid pair, as
-    text cells: each coordinate is formatted once per run and each matrix
-    row with one ``map``.  Rows are made one grid row at a time, since the
-    whole grid as text would hold several times the memory of the matrices."""
-    xs = list(map(_FLOAT_FMT.__mod__, g.coords[:, 0].tolist()))
+    """Rows ``(x_i, x_j, M[i, j] for M in mats)`` of Python floats over every
+    grid pair.  Rows are made one grid row at a time, since the whole grid as
+    row tuples would hold several times the memory of the matrices."""
+    xs = g.coords[:, 0].tolist()
     for i, x in enumerate(xs):
-        cells = (map(_FLOAT_FMT.__mod__, M[i].tolist()) for M in mats)
-        yield from zip(repeat(x), xs, *cells)
+        yield from zip(repeat(x), xs, *(M[i].tolist() for M in mats))
 
 
 def _at_least(args, **lows: int) -> None:
@@ -298,7 +294,7 @@ def _cmd_precond(args):
         landmark_seed=args.seed + 1, pattern_seed=args.seed + 2, rhs_seed=args.seed + 3,
     )
     header = ["method", "iterations", "rel_err", "residual", "fsai_nnz_fraction"]
-    return header, ([r[c] for c in header] for r in results)
+    return header, (tuple(r[c] for c in header) for r in results)
 
 
 def _cmd_gen(args):

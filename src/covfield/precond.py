@@ -83,13 +83,11 @@ def geometric_pattern(T: PointSet, delta: float) -> list[np.ndarray]:
     return rows
 
 
-def random_pattern(nT: int, cap_fraction: float, seed: int) -> list[np.ndarray]:
-    """Per row i: min(i, floor(cap_fraction * nT)) uniform indices j < i,
+def random_pattern(nT: int, seed: int) -> list[np.ndarray]:
+    """Per row i: min(i, floor(RANDOM_ROW_CAP * nT)) uniform indices j < i,
     plus the diagonal."""
-    if not 0 < cap_fraction <= 1:
-        raise ValueError("cap_fraction must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    cap = int(np.floor(cap_fraction * nT))
+    cap = int(np.floor(RANDOM_ROW_CAP * nT))
     rows: list[np.ndarray] = []
     for i in range(nT):
         k = min(i, cap)
@@ -247,7 +245,7 @@ def _afn_on_pattern(perm, schur: SchurComplement, pattern, delta, pattern_seed):
     if pattern == "geometric":
         rows = geometric_pattern(T, 2.0 * schur.cfg.sigma if delta is None else delta)
     elif pattern == "random":
-        rows = random_pattern(T.n, RANDOM_ROW_CAP, pattern_seed)
+        rows = random_pattern(T.n, pattern_seed)
     else:
         raise ValueError("pattern must be 'geometric' or 'random'")
     G = fsai_build(schur.block, rows)

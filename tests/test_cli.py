@@ -27,7 +27,7 @@ from covfield import kernel as kernel_mod
 from covfield import lrsp as lrsp_mod
 from covfield import posterior as posterior_mod
 from covfield import precond as precond_mod
-from covfield.cli import _grid_rows, _write_csv, run
+from covfield.cli import _grid_rows, _write_csv, build_parser, run
 
 
 def read_csv(path):
@@ -82,6 +82,20 @@ class TestWriteCsv:
         assert line == ("obs,3,-4,0.10000000000000001,0.66666666666666663,"
                         "nan,inf,-inf,-0,-0,1e-300\n")
 
+    @pytest.mark.parametrize("rows", [
+        [("obs", 1.0), ("obs", "2.0")],   # a str in a number column
+        [(1.0, 2.0), ("obs", 2.0)],
+        [(1.0, 2.0), [1.0, 2.0]],          # a list row
+        [[1.0, 2.0]],
+        [(1.0, 2.0), (1.0, 2.0, 3.0)],     # a row longer or shorter than the first
+        [(1.0, 2.0), (1.0,)],
+    ], ids=["str_in_number", "str_first_number", "list_row", "list_first", "long", "short"])
+    def test_row_not_fitting_the_template_raises(self, tmp_path, rows):
+        out = tmp_path / "c.csv"
+        with pytest.raises(TypeError):
+            _write_csv(out, ["a", "b"], rows, timestamp=False)
+        assert len(out.read_text().splitlines()) == len(rows)   # no cell of the bad row
+
 
 class TestGridCsv:
     """The grid CSVs against rows formatted one cell at a time."""
@@ -121,6 +135,42 @@ class TestGridCsv:
         out = tmp_path / "g.csv"
         assert _write_csv(out, ["x", "y", "a", "b"], _grid_rows(g, A, B), False) == 9
         assert out.read_bytes() == self.per_cell(["x", "y", "a", "b"], g.coords[:, 0], A, B)
+
+
+class TestSubcommandBytes:
+    """Each subcommand's CSV against its own rows formatted one cell at a
+    time: a str as it is, an int as its digits, anything else as "%.17g"."""
+
+    @staticmethod
+    def per_cell(v) -> str:
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return "%.17g" % float(v)
+
+    @pytest.mark.parametrize("argv", [
+        ["field2d", "--n-obs", "5", "--grid", "11"],
+        ["bounds", "--condition", "1", "--grid", "51"],
+        ["bounds", "--condition", "2", "--grid", "51"],
+        ["bounds", "--condition", "3", "--grid", "51"],
+        ["gp-demo", "--n-obs", "5", "--grid", "21"],
+        ["svd", "--equispaced", "30", "--sigma", "0.3", "--k", "5"],
+        ["lrsp", "--n", "60", "--r0", "10", "--rank-sweep", "10:30:10",
+         "--delta-sweep", "1:2:1"],
+        ["precond", "--n", "120", "--maxit", "50"],
+        ["gen", "--n", "10", "--d", "2"],
+        ["gen", "--n", "4", "--d", "1"],
+    ], ids=["field2d", "bounds1", "bounds2", "bounds3", "gp-demo", "svd", "lrsp", "precond",
+            "gen_d2", "gen_d1"])
+    def test_bytes(self, tmp_path, argv):
+        out = tmp_path / "o.csv"
+        assert run([*argv, "--out", str(out), "--no-timestamp"]) == 0
+        args = build_parser().parse_args([*argv, "--out", str(tmp_path / "unused.csv")])
+        header, rows = args.func(args)
+        lines = [",".join(header)] + [",".join(map(self.per_cell, row)) for row in rows]
+        assert len(lines) > 1
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestOutputPath:

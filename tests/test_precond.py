@@ -110,15 +110,11 @@ class TestPatterns:
         assert 0.05 <= frac <= 0.09  # expected around 7 % on this instance class
 
     def test_random_rows_capped(self):
-        rows = random_pattern(200, 0.1, seed=0)
+        rows = random_pattern(200, seed=0)
         cap = int(0.1 * 200)
         for i, J in enumerate(rows):
             assert len(J) == min(i, cap) + 1
             assert J[-1] == i
-
-    def test_random_requires_valid_cap(self):
-        with pytest.raises(ValueError):
-            random_pattern(10, 0.0, seed=0)
 
 
 class TestFsai:
