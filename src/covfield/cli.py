@@ -34,7 +34,6 @@ from .errors import CovfieldError
 from .geometry import (
     PointSet,
     bandwidth_percentile,
-    distance_matrix,
     generate_gaussian_cloud,
     load_csv,
     preset_observations,
@@ -244,18 +243,14 @@ def _cmd_lrsp(args):
     k_max = max(ranks + [math.ceil(lrsp_mod.cost_equivalent_rank(args.r0, n, n**2))])
     perm = np.random.default_rng(args.seed + 1).permutation(n)
     full = lrsp_mod.nystrom_build(X, perm[: min(k_max, n)], cfg)
-    K = kernel_matrix(X, X, cfg)
-    R0 = K - lrsp_mod.lowrank_dense(full.prefix(args.r0))
     v = np.random.default_rng(args.seed + 2).standard_normal(n)
 
-    # one pass per sweep, each overwriting one n x n buffer: the radius pass
-    # zeroes R0's nested patterns, then the rank pass downdates K through
-    # every swept and matched rank
-    sparse = lrsp_mod.lrsp_sweep(R0, distance_matrix(X), radii, v)
-    del R0
+    # one row-block pass per sweep: the radius pass gives the pattern sizes
+    # that fix the matched ranks the rank pass reads
+    sparse = lrsp_mod.lrsp_sweep(X, cfg, full.prefix(args.r0), radii, v)
     k_eq = [lrsp_mod.cost_equivalent_rank(args.r0, n, nnz) for nnz, _, _ in sparse]
     matched = [min(int(round(k)), n) for k in k_eq]
-    lr = lrsp_mod.lowrank_sweep(K, full, ranks + matched, v)
+    lr = lrsp_mod.lowrank_sweep(X, cfg, full, ranks + matched, v)
 
     rows = [(float(k), lr[k][0], math.nan, lr[k][1], math.nan) for k in ranks]
     rows += [(k, lr[kk][0], em, lr[kk][1], e2)

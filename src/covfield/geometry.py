@@ -95,6 +95,22 @@ def dist_to_set(x, S: PointSet) -> tuple[float, int]:
     return float(dists[i]), i
 
 
+ROW_BLOCK = 256   # rows per block wherever an n x n array is read a block at a time
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of ``ROW_BLOCK`` consecutive rows that cover ``range(n)``.
+
+    A one-row tail joins the block before it, since numpy multiplies a
+    one-row matrix through gemv or dot, which round unlike the gemm of a
+    wider block (README, "lrsp digits").
+    """
+    starts = list(range(0, n, ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def distance_matrix(X: PointSet, rows: slice = slice(None)) -> np.ndarray:
     """Euclidean distances from the points ``X[rows]`` to every point of X.
 

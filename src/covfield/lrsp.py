@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import PointSet, distance_matrix
+from .geometry import PointSet, distance_matrix, row_blocks
 from .kernel import KernelConfig, kernel_matrix
 from .posterior import fit
 
@@ -82,8 +82,9 @@ def sparse_correction(
     """Residual entries kernel(x_i, x_j) - (W^T W)_ij on the pattern only.
 
     A gather from the dense residual R = K_XX - W^T W, one n x n buffer
-    (desk scale, like the K every caller already holds).  numpy forms W^T W
-    as a syrk, so R and the stored values are bitwise symmetric.
+    (desk scale; ``lrsp_sweep`` reads the same residual a row block at a
+    time).  numpy forms W^T W as a syrk, so R and the stored values are
+    bitwise symmetric.
     """
     R = kernel_matrix(X, X, cfg)
     R -= lowrank_dense(factor)
@@ -99,65 +100,96 @@ def lrsp_dense(factor: NystromFactor, correction: sp.csr_matrix) -> np.ndarray:
     return lowrank_dense(factor) + correction.toarray()
 
 
-def error_norms(E: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """(max_ij |E_ij|, ||E v|| / ||v||) of an error matrix E.
+class _ErrorNorms:
+    """(max_ij |E_ij|, ||E v|| / ||v||) of one error matrix E per step,
+    folded in one row block of E at a time.
 
     The max is read as max(E.max(), -E.min()), bitwise equal to
-    ``np.abs(E).max()`` without its n x n temporary.
+    ``np.abs(E).max()`` without its temporary, and the rows of E v fill one
+    vector per step, so both norms are those of the whole E.
     """
-    return float(max(E.max(), -E.min())), float(np.linalg.norm(E @ v) / np.linalg.norm(v))
+
+    def __init__(self, steps: int, v: np.ndarray):
+        self.v = v
+        self.top = np.full(steps, -np.inf)
+        self.bottom = np.full(steps, np.inf)
+        self.Ev = np.empty((steps, len(v)))
+
+    def fold(self, step: int, rows: slice, E: np.ndarray) -> None:
+        self.top[step] = np.maximum(self.top[step], E.max())
+        self.bottom[step] = np.minimum(self.bottom[step], E.min())
+        self.Ev[step, rows] = E @ self.v
+
+    def norms(self) -> list[tuple[float, float]]:
+        nv = np.linalg.norm(self.v)
+        return [(float(max(t, -b)), float(np.linalg.norm(Ev) / nv))
+                for t, b, Ev in zip(self.top, self.bottom, self.Ev)]
 
 
 def lowrank_sweep(
-    K: np.ndarray, factor: NystromFactor, ranks, v: np.ndarray
+    X: PointSet, cfg: KernelConfig, factor: NystromFactor, ranks, v: np.ndarray
 ) -> dict[int, tuple[float, float]]:
-    """``error_norms`` of K - W_k^T W_k for every rank k in ``ranks``, keyed by k.
+    """Error norms (max|E|, ||E v|| / ||v||) of E = K - W_k^T W_k for every
+    rank k in ``ranks``, keyed by k.
 
-    One pass of rank-block downdates: from E = K, the distinct ranks are
-    walked in ascending order and each step subtracts the syrk of the block
-    W[a:b] between two consecutive ranks, so the products cost n^2 k_max in
-    all rather than n^2 sum(k).  K is overwritten: on return it holds the
-    residual at the largest rank.  The sums round in another order than one
-    product of the whole prefix; on the ``lrsp`` defaults the errors move by
-    at most about 6e-16 relative.
+    One pass over ``geometry.row_blocks``: each block starts from its rows of
+    K, walks the distinct ranks in ascending order and subtracts the rows of
+    B^T B for the block B = W[a:b] between two consecutive ranks, so the
+    products cost n^2 k_max in all rather than n^2 sum(k), and memory stays
+    at a few blocks of rows.  The rank-block downdates round in another
+    order than one product of the whole prefix; on the ``lrsp`` defaults the
+    errors move by at most about 6e-16 relative.  README ("lrsp digits")
+    says when the row blocks keep the bits of one whole-matrix pass.
     """
     todo = sorted({int(k) for k in ranks})
     if todo and not 1 <= todo[0] <= todo[-1] <= factor.rank:
         raise ValueError(f"ranks must lie in [1, {factor.rank}], got {todo[0]}..{todo[-1]}")
-    out = {}
-    a = 0
-    for k in todo:
-        B = factor.W[a:k]
-        K -= B.T @ B
-        out[k] = error_norms(K, v)
-        a = k
-    return out
+    errors = _ErrorNorms(len(todo), v)
+    for rows in row_blocks(X.n):
+        E = kernel_matrix(PointSet(X.coords[rows]), X, cfg)
+        a = 0
+        for step, k in enumerate(todo):
+            B = factor.W[a:k]
+            E -= B[:, rows].T @ B
+            errors.fold(step, rows, E)
+            a = k
+    return dict(zip(todo, errors.norms()))
 
 
 def lrsp_sweep(
-    R0: np.ndarray, D: np.ndarray, radii, v: np.ndarray
+    X: PointSet, cfg: KernelConfig, factor: NystromFactor, radii, v: np.ndarray
 ) -> list[tuple[int, float, float]]:
-    """(nnz, *error_norms) of the LRSP error at each radius, in order.
+    """(nnz, max|E|, ||E v|| / ||v||) of the LRSP error E at each radius, in
+    order.
 
-    R0 = K - W_0^T W_0 is the residual of the low-rank part, and the exact
-    sparse correction on the pattern {D <= delta} is R0 itself there, so the
-    error is R0 with the pattern zeroed.  D is ``geometry.distance_matrix``,
-    so each mask is ``pattern_by_radius``'s and nnz counts its pairs.  The
-    radii must not decrease: the patterns then nest and each one is zeroed
-    in place on top of the last, with no copy of R0 and no pair list.  R0 is
-    overwritten: on return it holds the error at the last radius.
+    R0 = K - W_0^T W_0 is the residual of the low-rank part (``factor`` is
+    W_0), and the exact sparse correction on the pattern {D <= delta} is R0
+    itself there, so the error is R0 with the pattern zeroed.  D is
+    ``geometry.distance_matrix``, so each mask is ``pattern_by_radius``'s and
+    nnz counts its pairs.  The radii must not decrease: the patterns then
+    nest, and one pass over ``geometry.row_blocks`` forms each block's rows
+    of R0 and D and zeroes each mask in place on top of the last, so memory
+    stays at a few blocks of rows.
     """
     radii = np.asarray(radii, dtype=float)
     if not np.all(radii >= 0):
         raise ValueError("radii must be nonnegative numbers")
     if np.any(np.diff(radii) < 0):
         raise ValueError("radii must not decrease")
-    out = []
-    for delta in radii:
-        mask = D <= delta
-        np.copyto(R0, 0.0, where=mask)
-        out.append((int(np.count_nonzero(mask)), *error_norms(R0, v)))
-    return out
+    W = factor.W
+    nnz = [0] * len(radii)
+    errors = _ErrorNorms(len(radii), v)
+    for rows in row_blocks(X.n):
+        E = kernel_matrix(PointSet(X.coords[rows]), X, cfg)
+        E -= W[:, rows].T @ W
+        D = distance_matrix(X, rows)
+        for step, delta in enumerate(radii):
+            mask = D <= delta
+            nnz[step] += int(np.count_nonzero(mask))
+            np.copyto(E, 0.0, where=mask)
+            errors.fold(step, rows, E)
+        del E, D   # free this block before the next one's rows are formed
+    return [(z, *norms) for z, norms in zip(nnz, errors.norms())]
 
 
 def cost_equivalent_rank(r0: float, N: float, nnz: float) -> float:

@@ -30,12 +30,11 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import DivergenceError, IllConditionedKernelError
-from .geometry import PointSet, distance_matrix
+from .geometry import PointSet, distance_matrix, row_blocks
 from .kernel import KernelConfig, kernel_matrix
 from .posterior import JITTER_LADDER, fit
 
 RANDOM_ROW_CAP = 0.1   # the random baseline's per-row cap, as a fraction of n_T
-_ROW_BLOCK = 256       # rows per distance block in geometric_pattern
 
 
 class SchurComplement:
@@ -70,15 +69,16 @@ class SchurComplement:
 def geometric_pattern(T: PointSet, delta: float) -> list[np.ndarray]:
     """Per-row sorted column sets {j <= i : ||t_i - t_j|| <= delta}; the
     diagonal is always present.  Thresholds the lower triangle of
-    ``distance_matrix(T)`` one ``_ROW_BLOCK``-row block at a time, so memory
-    stays at one block; the rows of a block are views of one index array."""
+    ``distance_matrix(T)`` one ``geometry.row_blocks`` block at a time, so
+    memory stays at one block; the rows of a block are views of one index
+    array."""
     if not delta >= 0:
         raise ValueError("delta must be a nonnegative number")
     rows: list[np.ndarray] = []
-    for lo in range(0, T.n, _ROW_BLOCK):
-        r, c = np.nonzero(distance_matrix(T, slice(lo, lo + _ROW_BLOCK)) <= delta)
-        lower = c <= r + lo
-        counts = np.bincount(r[lower], minlength=min(_ROW_BLOCK, T.n - lo))
+    for block in row_blocks(T.n):
+        r, c = np.nonzero(distance_matrix(T, block) <= delta)
+        lower = c <= r + block.start
+        counts = np.bincount(r[lower], minlength=block.stop - block.start)
         rows += np.split(c[lower], np.cumsum(counts)[:-1])
     return rows
 

@@ -13,6 +13,7 @@ from covfield import (
     standardize,
     subsample,
 )
+from covfield.geometry import ROW_BLOCK, row_blocks
 
 
 class TestPointSet:
@@ -202,3 +203,28 @@ class TestSubsample:
     def test_oversample(self):
         with pytest.raises(ValueError):
             subsample(generate_gaussian_cloud(5, 1, 0), 6, 0)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                   ROW_BLOCK + 2, 2 * ROW_BLOCK + 1])
+    def test_cover_the_rows_with_no_one_row_tail(self, n):
+        blocks = row_blocks(n)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert all(b.start % ROW_BLOCK == 0 for b in blocks)
+        assert all(b.stop - b.start <= ROW_BLOCK + 1 for b in blocks)
+        assert n == 1 or all(b.stop - b.start >= 2 for b in blocks)
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+    def test_block_matvecs_keep_the_whole_bits(self, n):
+        # gemv forms each row of E v on its own, once no block is one row
+        rng = np.random.default_rng(n)
+        E, v = rng.standard_normal((n, n)), rng.standard_normal(n)
+        np.testing.assert_array_equal(np.concatenate([E[b] @ v for b in row_blocks(n)]), E @ v)
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK])
+    def test_block_products_keep_the_syrk_bits(self, n):
+        # the gemm of a row block tiles like the syrk of W^T W when there is
+        # one block or n is a multiple of 8 (README: lrsp digits)
+        W = np.random.default_rng(n).standard_normal((80, n))
+        np.testing.assert_array_equal(np.vstack([W[:, b].T @ W for b in row_blocks(n)]), W.T @ W)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,7 +21,8 @@ from covfield import (
     pattern_by_radius,
     sparse_correction,
 )
-from covfield.lrsp import error_norms
+import covfield.lrsp as lrsp_module
+from covfield.geometry import ROW_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -205,12 +208,11 @@ class TestSparseCorrection:
 
     def test_error_monotone_in_radius(self, cloud, cloud_cfg, cloud_factor):
         K = kernel_matrix(cloud, cloud, cloud_cfg)
-        v = np.ones(cloud.n)
         errs = []
         for mult in (2, 5, 8):
             pat = pattern_by_radius(cloud, mult * cloud_cfg.sigma)
             corr = sparse_correction(cloud, cloud_factor, pat, cloud_cfg)
-            errs.append(error_norms(K - lrsp_dense(cloud_factor, corr), v)[0])
+            errs.append(np.abs(K - lrsp_dense(cloud_factor, corr)).max())
         assert errs[0] >= errs[1] >= errs[2]
 
 
@@ -223,18 +225,57 @@ def sweep_case():
     return X, cfg, full, v
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("kernel or distance work before the arguments were checked")
+
+
+def _whole_lowrank_sweep(K, factor, ranks, v):
+    """The rank pass on one n x n buffer: syrk downdates of K through the
+    sorted distinct ranks, reading both norms of the whole E after each."""
+    E, out, a = K.copy(), {}, 0
+    for k in sorted(set(ranks)):
+        B = factor.W[a:k]
+        E -= B.T @ B
+        out[k] = (float(np.abs(E).max()), float(np.linalg.norm(E @ v) / np.linalg.norm(v)))
+        a = k
+    return out
+
+
+def _whole_lrsp_sweep(R0, D, radii, v):
+    """The radius pass on one n x n buffer: nested masks zeroed in place."""
+    E, out = R0.copy(), []
+    for delta in radii:
+        mask = D <= delta
+        E[mask] = 0.0
+        out.append((int(np.count_nonzero(mask)), float(np.abs(E).max()),
+                    float(np.linalg.norm(E @ v) / np.linalg.norm(v))))
+    return out
+
+
 class TestSweeps:
-    def test_error_norms_max_is_abs_max(self):
-        E = np.random.default_rng(5).standard_normal((40, 40))
-        for M in (E, -E, np.abs(E), -np.abs(E)):
-            assert error_norms(M, np.ones(40))[0] == np.abs(M).max()
+    def test_sweep_max_is_abs_max(self, sweep_case):
+        # max(E.max(), -E.min()) is |E|'s max whichever sign holds it
+        X, cfg, full, v = sweep_case
+        K = kernel_matrix(X, X, cfg)
+        D = distance_matrix(X)
+        signs = set()
+        for k in (1, 7, 200):
+            R0 = K - lowrank_dense(full.prefix(k))
+            assert lowrank_sweep(X, cfg, full, [k], v)[k][0] == np.abs(R0).max()
+            radii = [0.0, 0.5, 1.5]
+            for delta, (_, m, _) in zip(radii, lrsp_sweep(X, cfg, full.prefix(k), radii, v)):
+                E = R0.copy()
+                E[D <= delta] = 0.0
+                assert m == np.abs(E).max()
+                signs.add(bool(E.max() >= -E.min()))
+        assert signs == {True, False}
 
     def test_lowrank_sweep_matches_prefix_products(self, sweep_case):
         X, cfg, full, v = sweep_case
         K = kernel_matrix(X, X, cfg)
         # unsorted, with a repeat, and the last rank of the factor
         ranks = [120, 7, 60, 7, 200, 1, 61]
-        got = lowrank_sweep(K.copy(), full, ranks, v)
+        got = lowrank_sweep(X, cfg, full, ranks, v)
         assert sorted(got) == sorted(set(ranks))
         for k in set(ranks):
             E = K - lowrank_dense(full.prefix(k))
@@ -242,21 +283,14 @@ class TestSweeps:
             assert got[k][0] == pytest.approx(want_max, rel=0, abs=1e-12)
             assert got[k][1] == pytest.approx(want_two, rel=0, abs=1e-12)
 
-    def test_lowrank_sweep_leaves_largest_residual(self, sweep_case):
+    def test_lowrank_sweep_rank_range(self, sweep_case, monkeypatch):
         X, cfg, full, v = sweep_case
-        K = kernel_matrix(X, X, cfg)
-        E = K.copy()
-        lowrank_sweep(E, full, [30, 90], v)
-        np.testing.assert_allclose(E, K - lowrank_dense(full.prefix(90)), rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(E, E.T)   # every block product is a syrk
-
-    def test_lowrank_sweep_rank_range(self, sweep_case):
-        X, cfg, full, v = sweep_case
-        K = kernel_matrix(X, X, cfg)
+        monkeypatch.setattr(lrsp_module, "kernel_matrix", _no_work)
         for ranks in ([0, 10], [10, full.rank + 1]):
             with pytest.raises(ValueError):
-                lowrank_sweep(K, full, ranks, v)
-        assert lowrank_sweep(K, full, [], v) == {}
+                lowrank_sweep(X, cfg, full, ranks, v)
+        monkeypatch.undo()
+        assert lowrank_sweep(X, cfg, full, [], v) == {}
 
     def test_masks_are_radius_pairs(self):
         X = generate_gaussian_cloud(400, 3, 24)
@@ -265,9 +299,10 @@ class TestSweeps:
         for delta in (0.0, 0.2, 0.5, 1.3, diam, 2 * diam):
             rows, cols = pattern_by_radius(X, delta).nonzero()
             np.testing.assert_array_equal(np.nonzero(D <= delta), (rows, cols))
-        R = np.ones((X.n, X.n))
+        cfg = KernelConfig(sigma=0.5)
         radii = [0.0, 0.5, diam]
-        nnz = [m for m, _, _ in lrsp_sweep(R, D, radii, np.ones(X.n))]
+        sweep = lrsp_sweep(X, cfg, nystrom_build(X, np.arange(5), cfg), radii, np.ones(X.n))
+        nnz = [m for m, _, _ in sweep]
         assert nnz == [len(pattern_by_radius(X, delta).nonzero()[0]) for delta in radii]
         assert nnz[0] == X.n and nnz[-1] == X.n**2
 
@@ -277,7 +312,7 @@ class TestSweeps:
         X, cfg, full, v = sweep_case
         R0 = kernel_matrix(X, X, cfg) - lowrank_dense(full.prefix(40))
         radii = [0.0, 0.25, 0.25, 0.5, 1.0, 1.5]
-        got = lrsp_sweep(R0.copy(), distance_matrix(X), radii, v)
+        got = lrsp_sweep(X, cfg, full.prefix(40), radii, v)
         for delta, (nnz, m, two) in zip(radii, got):
             rows, cols = pattern_by_radius(X, delta).nonzero()
             E = R0.copy()
@@ -287,12 +322,58 @@ class TestSweeps:
             assert two == float(np.linalg.norm(E @ v) / np.linalg.norm(v))
 
     @pytest.mark.parametrize("radii", [[0.5, 0.2], [0.1, 0.3, 0.2], [-0.1, 0.2], [0.1, np.nan]])
-    def test_lrsp_sweep_rejects_bad_radii(self, radii):
+    def test_lrsp_sweep_rejects_bad_radii(self, radii, monkeypatch):
         X = generate_gaussian_cloud(20, 2, 25)
-        R = np.ones((X.n, X.n))
+        cfg = KernelConfig(sigma=0.5)
+        factor = nystrom_build(X, np.arange(3), cfg)
+        monkeypatch.setattr(lrsp_module, "kernel_matrix", _no_work)
+        monkeypatch.setattr(lrsp_module, "distance_matrix", _no_work)
         with pytest.raises(ValueError):
-            lrsp_sweep(R, distance_matrix(X), radii, np.ones(X.n))
-        assert (R == 1.0).all()   # rejected before any entry is zeroed
+            lrsp_sweep(X, cfg, factor, radii, np.ones(X.n))
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK,
+                                   2 * ROW_BLOCK + 1])
+    def test_row_blocks_keep_the_whole_matrix_bits(self, n):
+        # one block, one full block, a one-row tail after one and two blocks.
+        # W steps of at most 80 rows: bit for bit when one block or n a
+        # multiple of 8; otherwise edge tiles may round residual entries 1 ulp
+        # apart (README: lrsp digits)
+        X = generate_gaussian_cloud(n, 3, 26)
+        cfg = KernelConfig(sigma=0.5)
+        full = nystrom_build(X, np.random.default_rng(27).permutation(n)[:80], cfg)
+        v = np.random.default_rng(28).standard_normal(n)
+        K = kernel_matrix(X, X, cfg)
+        ranks = [1, 2, 10, 11, 40, 80]   # steps of one rank and of many
+        radii = [0.0, 0.3, 0.6, 1.2, 10.0]
+        got = (lowrank_sweep(X, cfg, full, ranks, v), lrsp_sweep(X, cfg, full.prefix(30), radii, v))
+        want = (_whole_lowrank_sweep(K, full, ranks, v),
+                _whole_lrsp_sweep(K - lowrank_dense(full.prefix(30)), distance_matrix(X), radii, v))
+        if n <= ROW_BLOCK + 1 or n % 8 == 0:
+            assert got == want
+        else:
+            assert [z for z, _, _ in got[1]] == [z for z, _, _ in want[1]]
+            np.testing.assert_allclose([got[0][k] for k in ranks], [want[0][k] for k in ranks],
+                                       rtol=1e-15, atol=0)
+            np.testing.assert_allclose([e[1:] for e in got[1]], [e[1:] for e in want[1]],
+                                       rtol=1e-15, atol=0)
+
+    def test_sweeps_hold_no_n_by_n_buffer(self):
+        n = 3000
+        X = generate_gaussian_cloud(n, 3, 29)
+        cfg = KernelConfig(sigma=0.5)
+        full = nystrom_build(X, np.random.default_rng(30).permutation(n)[:60], cfg)
+        v = np.random.default_rng(31).standard_normal(n)
+        tracemalloc.start()
+        try:
+            lrsp_sweep(X, cfg, full.prefix(20), [0.0, 0.5, 1.0], v)
+            lowrank_sweep(X, cfg, full, [10, 20, 40, 60], v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few blocks of rows: kernel rows, one product or distance block
+        # and a mask, against 72 MB for one n x n float64 buffer
+        assert peak < 3 * ROW_BLOCK * n * 8
+        assert peak < n * n * 8 / 4
 
 
 class TestCostEquivalentRank:
@@ -329,13 +410,13 @@ class TestCostEquivalentRank:
 
 class TestErrorNorms:
     def test_zero_for_exact(self):
+        # the pattern at the diameter holds every pair, so LRSP is exact
         X = generate_gaussian_cloud(60, 2, 8)
         cfg = KernelConfig(sigma=0.5)
-        K = kernel_matrix(X, X, cfg)
-        E = K - K
+        fac = nystrom_build(X, np.arange(5), cfg)
         v = np.random.default_rng(1).standard_normal(X.n)
-        assert error_norms(E, v)[0] == 0.0
-        assert error_norms(E, v)[1] == 0.0
+        [(nnz, m, two)] = lrsp_sweep(X, cfg, fac, [distance_matrix(X).max()], v)
+        assert (nnz, m, two) == (X.n**2, 0.0, 0.0)
 
     def test_randomized_below_spectral(self):
         X = generate_gaussian_cloud(200, 2, 9)
@@ -346,13 +427,15 @@ class TestErrorNorms:
         spectral = np.abs(np.linalg.eigvalsh(E)).max()
         for seed in range(5):
             v = np.random.default_rng(seed).standard_normal(X.n)
-            assert error_norms(E, v)[1] <= spectral + 1e-12
+            assert lowrank_sweep(X, cfg, fac, [20], v)[20][1] <= spectral + 1e-12
+            assert lrsp_sweep(X, cfg, fac, [0.3], v)[0][2] <= spectral + 1e-12
 
     def test_nonnegative(self):
         X = generate_gaussian_cloud(50, 2, 11)
         cfg = KernelConfig(sigma=0.5)
-        A = np.zeros((50, 50))
-        E = kernel_matrix(X, X, cfg) - A
+        fac = nystrom_build(X, [0], cfg)
         v = np.random.default_rng(0).standard_normal(X.n)
-        assert error_norms(E, v)[0] >= 0
-        assert error_norms(E, v)[1] >= 0
+        m, two = lowrank_sweep(X, cfg, fac, [1], v)[1]
+        assert m >= 0 and two >= 0
+        [(_, m, two)] = lrsp_sweep(X, cfg, fac, [0.5], v)
+        assert m >= 0 and two >= 0
