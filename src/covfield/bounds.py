@@ -86,6 +86,46 @@ def upper_bound_large(model: PosteriorModel, x, y) -> float:
                           (1.0 + sr * tx.wnorm) * ty.dist / se)
 
 
+def _curve_table(model: PosteriorModel, y_star, grid: PointSet, condition: int, kinds):
+    """The condition region's mask, |R(x, y*)| and the curves of ``kinds`` in
+    order, as ``estimate_curve`` forms them (|R| too is NaN outside the
+    region); the region, |R(x, y*)| and the kernel column are formed once."""
+    if condition not in (1, 2, 3):
+        raise ValueError("condition must be 1, 2 or 3")
+    ys = as_point(y_star, grid.d)
+    cfg = model.cfg
+    dist_to_ystar = np.sqrt(sq_dists(ys, grid.coords))
+    if condition == 1:
+        mask = dist_to_ystar > 3.0 * cfg.sigma
+    elif condition == 2:
+        mask = dist_to_ystar < 3.0 * cfg.sigma
+    else:
+        mask = np.ones(grid.n, dtype=bool)
+    if not mask.any():
+        raise ValueError("condition region contains no grid points")
+
+    Y = PointSet(ys[None, :])
+    exact = np.abs(model.cov_matrix(grid, Y)[:, 0])
+    exact_max = exact[mask].max()
+    if "upper" in kinds or "lower" in kinds:
+        kern = kernel_matrix(grid, Y, cfg)[:, 0]
+        ty = model._point(ys)[1]
+        rho_hat = ty.dist / (math.sqrt(2.0) * cfg.sigma)
+        tail = cfg.beta * math.sqrt(model.r) * math.exp(-_sq(rho_hat)) * ty.wnorm
+    curves = []
+    for kind in kinds:
+        if kind == "distance":
+            # the distances dist_to_set takes the min of, one grid point per row
+            curve = cdist(grid.coords, model.S.coords).min(axis=1)
+        else:
+            curve = kern + tail if kind == "upper" else kern - tail
+        curve_max = float(np.abs(curve[mask]).max())
+        if curve_max == 0.0:
+            raise ValueError("curve vanishes on the region; nothing to rescale")
+        curves.append(np.where(mask, curve * (exact_max / curve_max), np.nan))
+    return mask, np.where(mask, exact, np.nan), curves
+
+
 def estimate_curve(
     model: PosteriorModel,
     y_star,
@@ -112,35 +152,4 @@ def estimate_curve(
     if kind not in CURVE_KINDS:
         raise ValueError(f"kind must be one of {CURVE_KINDS}")
     condition = _KIND_CONDITION[kind] if condition is None else condition
-    if condition not in (1, 2, 3):
-        raise ValueError("condition must be 1, 2 or 3")
-
-    ys = as_point(y_star, grid.d)
-    cfg = model.cfg
-    dist_to_ystar = np.sqrt(sq_dists(ys, grid.coords))
-    if condition == 1:
-        mask = dist_to_ystar > 3.0 * cfg.sigma
-    elif condition == 2:
-        mask = dist_to_ystar < 3.0 * cfg.sigma
-    else:
-        mask = np.ones(grid.n, dtype=bool)
-    if not mask.any():
-        raise ValueError("condition region contains no grid points")
-
-    if kind == "distance":
-        # the distances dist_to_set takes the min of, one grid point per row
-        curve = cdist(grid.coords, model.S.coords).min(axis=1)
-    else:
-        kern = kernel_matrix(grid, PointSet(ys[None, :]), cfg)[:, 0]
-        ty = model._point(ys)[1]
-        rho_hat = ty.dist / (math.sqrt(2.0) * cfg.sigma)
-        tail = cfg.beta * math.sqrt(model.r) * math.exp(-_sq(rho_hat)) * ty.wnorm
-        curve = kern + tail if kind == "upper" else kern - tail
-
-    exact = np.abs(model.cov_matrix(grid, PointSet(ys[None, :]))[:, 0])
-    curve_max = float(np.abs(curve[mask]).max())
-    if curve_max == 0.0:
-        raise ValueError("curve vanishes on the region; nothing to rescale")
-    out = curve * (exact[mask].max() / curve_max)
-    out[~mask] = np.nan
-    return out
+    return _curve_table(model, y_star, grid, condition, (kind,))[2][0]

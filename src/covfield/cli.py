@@ -143,19 +143,9 @@ def _cmd_bounds(args):
     S = _load_observations(args)
     model = fit(S, KernelConfig(sigma=sigma))
     g = _unit_grid(args.grid)
-    ystar = np.array([args.ystar])
-    exact = np.abs(model.cov_matrix(g, PointSet(ystar[None, :])))[:, 0]
-    curves = {
-        kind: bounds_mod.estimate_curve(model, ystar, g, kind, condition=args.condition)
-        for kind in bounds_mod.CURVE_KINDS
-    }
-    in_region = ~np.isnan(curves["distance"])
-    xs = g.coords[:, 0]
-    rows = (
-        (xs[i], int(in_region[i]), exact[i] if in_region[i] else math.nan,
-         curves["upper"][i], curves["lower"][i], curves["distance"][i])
-        for i in range(g.n)
-    )
+    in_region, exact, curves = bounds_mod._curve_table(
+        model, args.ystar, g, args.condition, bounds_mod.CURVE_KINDS)
+    rows = zip(g.coords[:, 0], in_region.astype(int), exact, *curves)
     return ["x", "in_region", "exact_abs", "upper_curve", "lower_curve", "distance_curve"], rows
 
 

@@ -193,9 +193,9 @@ def bandwidth_percentile(X: PointSet, q: float) -> float:
         raise ValueError("need at least two points")
     if not 0 < q < 100:
         raise ValueError("percentile must lie strictly between 0 and 100")
-    d = np.sort(pdist(X.coords))
-    rank = int(np.ceil(q / 100.0 * d.size))
-    rank = min(max(rank, 1), d.size)
+    d = pdist(X.coords)
+    rank = min(max(int(np.ceil(q / 100.0 * d.size)), 1), d.size)
+    d.partition(rank - 1)   # in place: the rank-th smallest lands at rank - 1
     value = float(d[rank - 1])
     if value == 0.0:
         raise DegenerateDataError("selected pairwise distance is zero (duplicate points)")

@@ -136,8 +136,9 @@ class PosteriorModel:
 
     def whitened_cross(self, X: PointSet) -> np.ndarray:
         """The whitened cross-kernel A_X = L^{-1} K_SX (r x |X|), L = ``chol``,
-        so that R(X, Y) = K_XY - A_X^T A_Y."""
-        return solve_triangular(self.chol, kernel_matrix(self.S, X, self.cfg), lower=True)
+        so that R(X, Y) = K_XY - A_X^T A_Y; solved in place in K_SX = K_XS^T."""
+        return solve_triangular(self.chol, kernel_matrix(X, self.S, self.cfg).T,
+                                lower=True, overwrite_b=True)
 
     def cov_matrix(self, X: PointSet, Y: PointSet) -> np.ndarray:
         """Posterior covariance matrix R(X, Y).  Exactly symmetric when X
@@ -180,8 +181,7 @@ def fit(S: PointSet, cfg: KernelConfig) -> PosteriorModel:
     if cfg.tau == 0.0 and np.unique(S.coords, axis=0).shape[0] != S.n:
         raise ValueError("observation points must be pairwise distinct when tau = 0")
     K = kernel_matrix(S, S, cfg)
-    if cfg.tau > 0:
-        K = K + cfg.tau**2 * np.eye(S.n)
+    K[np.diag_indices(S.n)] += cfg.tau**2
     L, jitter = jittered_cholesky(K, cfg.beta)
     return PosteriorModel(S=S, cfg=cfg, chol=L, jitter_used=jitter)
 

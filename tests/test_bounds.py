@@ -6,6 +6,7 @@ import pytest
 from covfield import (
     KernelConfig,
     PointSet,
+    bounds,
     dist_to_set,
     estimate_curve,
     fit,
@@ -177,6 +178,27 @@ class TestEstimateCurve:
         model = fit(uniform1d, KernelConfig(sigma=0.05))
         with pytest.raises(ValueError):
             estimate_curve(model, 0.15, unit_grid(11), "sideways")
+
+    def test_only_the_requested_kind_fails(self, uniform1d):
+        # on a grid equal to S the distance curve vanishes; the others are formed apart
+        model = fit(uniform1d, KernelConfig(sigma=0.4))
+        with pytest.raises(ValueError, match="curve vanishes"):
+            estimate_curve(model, 0.15, uniform1d, "distance", condition=3)
+        for kind in ("upper", "lower"):
+            assert estimate_curve(model, 0.15, uniform1d, kind, condition=3).shape == (5,)
+
+    @pytest.mark.parametrize("condition", [1, 2, 3])
+    def test_table_matches_one_kind_calls(self, uniform1d, condition):
+        model = fit(uniform1d, KernelConfig(sigma=0.05))
+        grid = unit_grid(201)
+        mask, exact, curves = bounds._curve_table(model, 0.15, grid, condition,
+                                                   bounds.CURVE_KINDS)
+        for kind, curve in zip(bounds.CURVE_KINDS, curves):
+            np.testing.assert_array_equal(
+                curve, estimate_curve(model, 0.15, grid, kind, condition=condition))
+        np.testing.assert_array_equal(np.isnan(curves[0]), ~mask)
+        full = np.abs(model.cov_matrix(grid, PointSet(np.array([[0.15]]))))[:, 0]
+        np.testing.assert_array_equal(exact, np.where(mask, full, np.nan))
 
     def test_distance_curve_matches_dist_to_set_loop(self):
         rng = np.random.default_rng(7)

@@ -308,6 +308,26 @@ class TestBoundsCommand:
             flags = [int(r[1]) for r in rows]
             assert 0 < sum(flags) <= 101
 
+    @pytest.mark.parametrize("cond", ["1", "2", "3"])
+    def test_one_exact_column_and_one_kernel_column(self, tmp_path, monkeypatch, cond):
+        # cov_matrix forms |R(x, y*)| (with its own K(grid, y*)); bounds forms the
+        # kernel column for the upper and lower curves once more, both once per run
+        calls = {"cov_matrix": 0, "kernel_matrix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(posterior_mod.PosteriorModel, "cov_matrix",
+                            counted("cov_matrix", posterior_mod.PosteriorModel.cov_matrix))
+        monkeypatch.setattr(bounds_mod, "kernel_matrix",
+                            counted("kernel_matrix", bounds_mod.kernel_matrix))
+        assert run(["bounds", "--condition", cond, "--grid", "101",
+                    "--out", str(tmp_path / "b.csv"), "--no-timestamp"]) == 0
+        assert calls == {"cov_matrix": 1, "kernel_matrix": 1}
+
     def test_obs_file_reads_as_the_preset(self, tmp_path):
         obs = tmp_path / "s.csv"
         np.savetxt(obs, preset_observations("nonuniform1d").coords, delimiter=",")

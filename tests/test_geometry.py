@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from covfield import (
     DegenerateDataError,
@@ -181,6 +182,15 @@ class TestBandwidthPercentile:
     def test_identical_points(self):
         with pytest.raises(DegenerateDataError):
             bandwidth_percentile(PointSet(np.zeros((4, 2))), 50)
+
+    @pytest.mark.parametrize("q", [1e-9, 0.5, 2, 37.5, 99.999])
+    def test_tied_lattice_matches_sorted_rank(self, q):
+        # a 12 x 12 lattice: many tied distances around every rank
+        ax = np.arange(12.0)
+        X = PointSet(np.stack(np.meshgrid(ax, ax), axis=-1).reshape(-1, 2))
+        d = np.sort(pdist(X.coords))
+        rank = min(max(int(np.ceil(q / 100.0 * d.size)), 1), d.size)
+        assert bandwidth_percentile(X, q) == d[rank - 1]
 
 
 class TestSubsample:

@@ -1,10 +1,11 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from covfield import (
     IllConditionedKernelError,
@@ -12,6 +13,7 @@ from covfield import (
     NumericalConsistencyError,
     PointSet,
     fit,
+    generate_gaussian_cloud,
     kernel_eval,
     kernel_matrix,
     max_cross_weight_norm,
@@ -47,6 +49,13 @@ class TestFit:
         K = kernel_matrix(nonuniform1d, nonuniform1d, cfg) + cfg.tau**2 * np.eye(5)
         rel = np.linalg.norm(model.chol @ model.chol.T - K) / np.linalg.norm(K)
         assert rel <= 1e-12 * 5
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05])
+    def test_factor_bitwise_equal_to_eye_sum(self, nonuniform1d, tau):
+        # tau^2 added to the diagonal in place changes no bit of K_SS + tau^2 I
+        cfg = KernelConfig(sigma=0.1, tau=tau)
+        K = kernel_matrix(nonuniform1d, nonuniform1d, cfg) + tau**2 * np.eye(5)
+        np.testing.assert_array_equal(fit(nonuniform1d, cfg).chol, np.linalg.cholesky(K))
 
     def test_duplicate_points(self):
         with pytest.raises(ValueError):
@@ -261,6 +270,31 @@ class TestPointMemo:
             for res in runs:
                 for i in range(len(pairs)):
                     _assert_bitwise(res[i], want[i])
+
+
+class TestWhitenedCross:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bitwise_equal_to_solve_on_k_sx(self, d):
+        S = generate_gaussian_cloud(40, d, 1)
+        X = generate_gaussian_cloud(70, d, 2)
+        model = fit(S, KernelConfig(sigma=1.0, tau=0.01))
+        W = model.whitened_cross(X)
+        want = solve_triangular(model.chol, kernel_matrix(S, X, model.cfg), lower=True)
+        np.testing.assert_array_equal(W, want)
+        assert W.flags.f_contiguous
+
+    def test_one_buffer_of_the_result_size(self):
+        # LAPACK solves in the kernel block itself: no second r x n copy
+        model = fit(generate_gaussian_cloud(600, 3, 3), KernelConfig(sigma=0.5, tau=0.01))
+        X = generate_gaussian_cloud(2000, 3, 4)
+        tracemalloc.start()
+        try:
+            W = model.whitened_cross(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert W.shape == (600, 2000)
+        assert peak < 1.5 * W.nbytes
 
 
 class TestPosteriorCovMatrix:
