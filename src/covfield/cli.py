@@ -190,20 +190,22 @@ def _cmd_svd(args):
     return ["index", "value"], ((i + 1, s[i]) for i in range(len(s)))
 
 
-def _parse_sweep(text: str, name: str, max_len: int) -> tuple[float, float, float, int]:
-    """lo, hi, step and length of a ``lo:hi:step`` sweep, which stands for
-    ``np.arange(lo, hi + 1e-9, step)``; the length is checked against
-    ``max_len`` before any caller builds it."""
+def _parse_sweep(text: str, name: str, max_len: int) -> list[float]:
+    """The values of a ``lo:hi:step`` sweep, bit for bit those of numpy's
+    ``arange(lo, hi + 1e-9, step)``; their count is checked to lie in
+    [1, ``max_len``] before any value is built."""
     try:
         lo, hi, step = (float(t) for t in text.split(":"))
     except ValueError:
         raise CovfieldError(f"{name} must look like lo:hi:step, got {text!r}") from None
     if not (lo <= hi < math.inf and 0 < step < math.inf):   # NaN fails too
         raise CovfieldError(f"{name}: need finite lo <= hi and step > 0, got {text!r}")
-    count = math.ceil((hi + 1e-9 - lo) / step)   # the length np.arange takes
-    if count > max_len:
-        raise CovfieldError(f"{name}: {count} values, but at most {max_len} can differ")
-    return lo, hi, step, count
+    # arange's length: 0 when hi = lo is so large that hi + 1e-9 rounds to hi
+    count = math.ceil((hi + 1e-9 - lo) / step)
+    if not 1 <= count <= max_len:
+        raise CovfieldError(f"{name}: {count} values, need 1 to {max_len}")
+    inc = (lo + step) - lo   # arange's i-th value is lo + i * inc
+    return [lo + i * inc for i in range(count)]
 
 
 def _cmd_lrsp(args):
@@ -214,18 +216,15 @@ def _cmd_lrsp(args):
     # patterns, so longer sweeps would only repeat rows
     if not 1 <= args.r0 <= n:
         raise CovfieldError(f"--r0 must lie in [1, n = {n}], got {args.r0}")
-    lo, hi, step, count = _parse_sweep(args.rank_sweep, "--rank-sweep", n)
-    # np.arange's i-th value is lo + i * ((lo + step) - lo), and ranks increase
-    for rank in (round(lo), round(lo + (count - 1) * ((lo + step) - lo))):
+    ranks = [int(round(rank)) for rank in _parse_sweep(args.rank_sweep, "--rank-sweep", n)]
+    for rank in (ranks[0], ranks[-1]):   # ranks increase
         if not 1 <= rank <= n:
             raise CovfieldError(f"--rank-sweep: rank {rank} outside [1, n = {n}]")
-    d_lo, d_hi, d_step, _ = _parse_sweep(
-        args.delta_sweep, "--delta-sweep", n * (n - 1) // 2 + 1)
-    if d_lo < 0:
-        raise CovfieldError(f"--delta-sweep: radii must be >= 0, got lo = {d_lo:g}")
+    deltas = _parse_sweep(args.delta_sweep, "--delta-sweep", n * (n - 1) // 2 + 1)
+    if deltas[0] < 0:
+        raise CovfieldError(f"--delta-sweep: radii must be >= 0, got lo = {deltas[0]:g}")
     cfg = KernelConfig(sigma=args.sigma)
-    ranks = [int(round(rank)) for rank in np.arange(lo, hi + 1e-9, step)]
-    radii = np.arange(d_lo, d_hi + 1e-9, d_step) * args.sigma
+    radii = np.array(deltas) * args.sigma
 
     X = generate_gaussian_cloud(n, args.d, args.seed)
     # every rank is a prefix of one factor at the largest rank the run can
@@ -258,6 +257,10 @@ def _cmd_precond(args):
         raise CovfieldError(f"--delta must be a finite number >= 0, got {args.delta}")
     if not math.isfinite(args.r_fraction):
         raise CovfieldError(f"--r-fraction must be finite, got {args.r_fraction}")
+    if not 0 < args.percentile < 100:
+        raise CovfieldError(f"--percentile must lie in (0, 100), got {args.percentile}")
+    if not 0 <= args.tau < math.inf:
+        raise CovfieldError(f"--tau must be a finite number >= 0, got {args.tau}")
     if args.data:
         X = load_csv(args.data)
         if (m := args.subsample) is not None:
@@ -275,9 +278,7 @@ def _cmd_precond(args):
     sigma = bandwidth_percentile(X, args.percentile)
     cfg = KernelConfig(sigma=sigma, tau=args.tau)
     results = precond_mod.run_methods(
-        X, cfg, r=r, delta=args.delta, tol_abs=args.tol, max_iter=args.maxit,
-        landmark_seed=args.seed + 1, pattern_seed=args.seed + 2, rhs_seed=args.seed + 3,
-    )
+        X, cfg, r=r, delta=args.delta, tol_abs=args.tol, max_iter=args.maxit, seed=args.seed + 1)
     header = ["method", "iterations", "rel_err", "residual", "fsai_nnz_fraction"]
     return header, (tuple(r[c] for c in header) for r in results)
 

@@ -135,18 +135,18 @@ def variance_estimator_large(x, refs: ReferencePointSet, S: PointSet, cfg: Kerne
     return (dx / dz) * float(refs.variances[iz])
 
 
-def variance_estimator_auto(x, model: PosteriorModel, refs: ReferencePointSet | None = None) -> float:
+def variance_estimator_auto(x, model: PosteriorModel, refs: ReferencePointSet) -> float:
     """Dispatch between the two variance estimators by local data spacing.
 
     The query's gap is the interval between its two flanking sorted
     observations (boundary queries use twice the distance to the single
     flanking observation).  Gaps wider than 2 sigma use the small-bandwidth
-    estimator, narrower ones the reference-point estimator.
+    estimator, narrower ones the reference-point estimator on ``refs``.
     """
     if model.S.d != 1:
         raise UnsupportedDimensionError("automatic dispatch is defined for d = 1 only")
     p = as_point(x, 1)
-    s = np.sort(model.S.coords[:, 0])
+    s = model._sorted_obs
     k = int(np.searchsorted(s, p[0]))
     if k == 0:
         gap = 2.0 * (s[0] - p[0])
@@ -156,6 +156,4 @@ def variance_estimator_auto(x, model: PosteriorModel, refs: ReferencePointSet | 
         gap = s[k] - s[k - 1]
     if gap > 2.0 * model.cfg.sigma:
         return variance_estimator_small(p, model.S, model.cfg)
-    if refs is None:
-        refs = reference_points_1d(model)
     return variance_estimator_large(p, refs, model.S, model.cfg)

@@ -15,13 +15,15 @@ takes that observation's basis vector as its cross weights, so R vanishes on S.
 Every result is a pure function of the model and the query.  The only
 mutable state is a bounded memo of per-point terms (kernel row, cross
 weights, distance to S, weight norm), so the bounds and ``cov`` at one pair
-evaluate each point once.
+evaluate each point once, and the sorted first coordinates of S, cached on
+first use by the 1-d variance dispatch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -78,6 +80,10 @@ class PosteriorModel:
     @property
     def r(self) -> int:
         return self.S.n
+
+    @cached_property
+    def _sorted_obs(self) -> np.ndarray:   # S's first coordinates, sorted once
+        return np.sort(self.S.coords[:, 0])
 
     @property
     def _exact_at_obs(self) -> bool:

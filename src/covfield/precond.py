@@ -154,16 +154,21 @@ def _trtrs(UT: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
 @dataclass(frozen=True)
 class AfnPreconditioner:
     perm: np.ndarray = field(repr=False)     # X order -> [S; T]
-    r: int = 0
-    L: np.ndarray = field(repr=False, default=None)        # chol of K_SS + tau^2 I (+ jitter)
-    W: np.ndarray = field(repr=False, default=None)        # L^{-1} K_ST
-    G: sp.csr_matrix = field(repr=False, default=None)     # FSAI factor of the Schur block
+    L: np.ndarray = field(repr=False)        # chol of K_SS + tau^2 I (+ jitter)
+    W: np.ndarray = field(repr=False)        # L^{-1} K_ST
+    G: sp.csr_matrix = field(repr=False)     # FSAI factor of the Schur block
     jitter_used: float = 0.0
-    GT: sp.csr_matrix = field(repr=False, default=None)    # G^T stored as CSR for the matvec
+
+    def __post_init__(self):
+        object.__setattr__(self, "GT", self.G.T.tocsr())   # G^T as CSR for the matvecs
 
     @property
     def n(self) -> int:
         return len(self.perm)
+
+    @property
+    def r(self) -> int:
+        return self.W.shape[0]
 
     @property
     def fsai_nnz_fraction(self) -> float:
@@ -199,7 +204,7 @@ class AfnPreconditioner:
         vp = v[self.perm]
         xS, xT = vp[: self.r], vp[self.r:]
         uS = self.L.T @ xS + self.W @ xT
-        uT = spsolve_triangular(sp.csr_matrix(self.G.T), xT, lower=False)
+        uT = spsolve_triangular(self.GT, xT, lower=False)
         outS = self.L @ uS
         outT = self.W.T @ uS + spsolve_triangular(self.G, uT, lower=True)
         out = np.empty_like(v)
@@ -214,25 +219,24 @@ def afn_build(
     *,
     pattern: str = "geometric",
     delta: float | None = None,
-    landmark_seed: int = 0,
-    pattern_seed: int = 0,
+    seed: int = 0,
 ) -> AfnPreconditioner:
     """Assemble the AFN preconditioner for K_XX + tau^2 I.
 
-    r landmarks are drawn uniformly at random (seeded permutation); the FSAI
-    pattern on the remaining points is either ``geometric`` (distance
-    threshold ``delta``, default 2 sigma) or ``random`` (per-row cap
-    ``RANDOM_ROW_CAP``).
+    r landmarks are drawn uniformly at random (a permutation seeded with
+    ``seed``); the FSAI pattern on the remaining points is either
+    ``geometric`` (distance threshold ``delta``, default 2 sigma) or
+    ``random`` (per-row cap ``RANDOM_ROW_CAP``, seeded with ``seed + 1``).
     """
-    perm, schur = _landmark_split(X, cfg, r, landmark_seed)
-    return _afn_on_pattern(perm, schur, pattern, delta, pattern_seed)
+    perm, schur = _landmark_split(X, cfg, r, seed)
+    return _afn_on_pattern(perm, schur, pattern, delta, seed + 1)
 
 
-def _landmark_split(X: PointSet, cfg: KernelConfig, r: int, landmark_seed: int):
+def _landmark_split(X: PointSet, cfg: KernelConfig, r: int, seed: int):
     """The seeded permutation X -> [S; T] and the Schur complement on T."""
     if not 1 <= r < X.n:
         raise ValueError(f"need 1 <= r < n, got r={r}, n={X.n}")
-    perm = np.random.default_rng(landmark_seed).permutation(X.n)
+    perm = np.random.default_rng(seed).permutation(X.n)
     S = PointSet(X.coords[perm[:r]])
     T = PointSet(X.coords[perm[r:]])
     return perm, SchurComplement(S, T, cfg)
@@ -248,11 +252,8 @@ def _afn_on_pattern(perm, schur: SchurComplement, pattern, delta, pattern_seed):
         rows = random_pattern(T.n, pattern_seed)
     else:
         raise ValueError("pattern must be 'geometric' or 'random'")
-    G = fsai_build(schur.block, rows)
-    return AfnPreconditioner(
-        perm=perm, r=len(perm) - T.n, L=schur.L, W=schur.W, G=G,
-        jitter_used=schur.jitter_used, GT=G.T.tocsr(),
-    )
+    return AfnPreconditioner(perm, schur.L, schur.W, fsai_build(schur.block, rows),
+                             schur.jitter_used)
 
 
 def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int = 1000):
@@ -347,27 +348,26 @@ def run_methods(
     delta: float | None = None,
     tol_abs: float = 1e-5,
     max_iter: int = 1000,
-    landmark_seed: int = 1,
-    pattern_seed: int = 2,
-    rhs_seed: int = 3,
+    seed: int = 1,
     methods=(1, 2, 3),
 ):
     """Benchmark driver for the three-method comparison table.
 
     Solves (K_XX + tau^2 I) z = b with b seeded standard normal scaled to
     unit norm, so the absolute tolerance reads as a relative one.  The
-    reference solution for the relative-error column comes from a dense
-    Cholesky solve, which raises ``IllConditionedKernelError`` before any
-    PCG when the system is not numerically positive definite.  ``delta`` is
-    the geometric pattern's threshold, 2 sigma when None.  Returns one
-    dict per method with keys
+    landmarks, the random pattern and b use ``seed``, ``seed + 1`` and
+    ``seed + 2``.  The reference solution for the relative-error column
+    comes from a dense Cholesky solve, which raises
+    ``IllConditionedKernelError`` before any PCG when the system is not
+    numerically positive definite.  ``delta`` is the geometric pattern's
+    threshold, 2 sigma when None.  Returns one dict per method with keys
     method/iterations/rel_err/residual/fsai_nnz_fraction.
     """
     n = X.n
     A = kernel_matrix(X, X, cfg)
     if cfg.tau > 0:
         A[np.diag_indices(n)] += cfg.tau**2
-    b = np.random.default_rng(rhs_seed).standard_normal(n)
+    b = np.random.default_rng(seed + 2).standard_normal(n)
     b /= np.linalg.norm(b)
     # no jitter here: a jittered reference would move what rel_err measures;
     # the factor stays a temporary, so it is freed before the solves
@@ -381,7 +381,7 @@ def run_methods(
     z_norm = np.linalg.norm(z_ref)
 
     # methods 2 and 3 share one landmark split and differ only in the pattern
-    split = _landmark_split(X, cfg, r, landmark_seed) if set(methods) - {1} else None
+    split = _landmark_split(X, cfg, r, seed) if set(methods) - {1} else None
     out = []
     for method in methods:
         if method == 1:
@@ -389,7 +389,7 @@ def run_methods(
             nnz_frac = float("nan")
         else:
             P = _afn_on_pattern(
-                *split, "geometric" if method == 3 else "random", delta, pattern_seed)
+                *split, "geometric" if method == 3 else "random", delta, seed + 1)
             pre = P.apply_inverse
             nnz_frac = P.fsai_nnz_fraction
         x, iters, hist = pcg(A, b, pre, tol_abs=tol_abs, max_iter=max_iter)

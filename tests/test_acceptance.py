@@ -235,8 +235,7 @@ def test_criterion_09_preconditioning_synthetic():
     sigma = bandwidth_percentile(X, 2)
     cfg = KernelConfig(sigma=sigma, tau=0.004)
     rows = run_methods(
-        X, cfg, r=200, delta=2 * sigma, tol_abs=1e-5, max_iter=1000,
-        landmark_seed=43, pattern_seed=44, rhs_seed=45,
+        X, cfg, r=200, delta=2 * sigma, tol_abs=1e-5, max_iter=1000, seed=43,
     )
     by = {r["method"]: r for r in rows}
     m3_ok = by[3]["iterations"] <= 50 and by[3]["residual"] <= 1e-5
@@ -264,8 +263,7 @@ def test_criterion_10_preconditioning_real_data(tmp_path):
     sigma = bandwidth_percentile(X, 2)
     cfg = KernelConfig(sigma=sigma, tau=0.004)
     rows = run_methods(
-        X, cfg, r=1000, delta=2 * sigma, tol_abs=1e-5, max_iter=1000,
-        landmark_seed=124, pattern_seed=125, rhs_seed=126, methods=(3,),
+        X, cfg, r=1000, delta=2 * sigma, tol_abs=1e-5, max_iter=1000, seed=124, methods=(3,),
     )
     m3 = rows[0]
     ok = m3["iterations"] <= 30 and m3["residual"] <= 1e-5

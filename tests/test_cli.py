@@ -459,6 +459,23 @@ class TestLrspCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("spec", [
+        "1:10:1", "100:660:40", "0.5:4:0.7", "10:90:7", "-1:3:1", "1e-3:2.3:0.013",
+    ])
+    def test_sweep_values_are_arange_bitwise(self, spec):
+        lo, hi, step = map(float, spec.split(":"))
+        got = np.array(cli_mod._parse_sweep(spec, "--x", 10**6))
+        want = np.arange(lo, hi + 1e-9, step)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_empty_sweep_is_named(self, tmp_path, capsys):
+        # hi + 1e-9 rounds to hi = lo at this magnitude: no values at all
+        out = tmp_path / "l.csv"
+        assert run(["lrsp", "--delta-sweep", "1e20:1e20:1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --delta-sweep: 0 values")
+        assert not out.exists()
+
     def test_negative_sweep_value_needs_equals(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("reached past the flag checks")
@@ -502,6 +519,8 @@ class TestPrecondCommand:
         ("--maxit", "0"),
         ("--delta", "nan"), ("--delta", "-1"), ("--delta", "inf"),
         ("--r-fraction", "nan"), ("--r-fraction", "inf"), ("--r-fraction", "1"),
+        ("--percentile", "0"), ("--percentile", "100"), ("--percentile", "nan"),
+        ("--tau", "-1"), ("--tau", "nan"), ("--tau", "inf"),
     ])
     def test_bad_flag_fails_before_kernel_work(self, tmp_path, capsys, monkeypatch, flag, value):
         def never(*args, **kwargs):

@@ -265,7 +265,8 @@ class TestVarianceEstimatorAuto:
         S = PointSet(np.array([[0.0], [10 * sigma]]))
         model = fit(S, KernelConfig(sigma=sigma))
         x = 3 * sigma
-        assert variance_estimator_auto(x, model) == variance_estimator_small(
+        refs = reference_points_1d(model)
+        assert variance_estimator_auto(x, model, refs) == variance_estimator_small(
             x, S, model.cfg
         )
 
@@ -278,6 +279,24 @@ class TestVarianceEstimatorAuto:
         assert variance_estimator_auto(x, model, refs) == variance_estimator_large(
             x, refs, S, model.cfg
         )
+
+    def test_refs_required(self):
+        model = fit(PointSet(np.array([[0.0], [0.5]])), KernelConfig(sigma=0.05))
+        with pytest.raises(TypeError):
+            variance_estimator_auto(0.25, model)
+
+    def test_sorts_observations_once_per_model(self, monkeypatch):
+        sx = np.random.default_rng(4).uniform(0, 1, 12)
+        model = fit(PointSet(sx[:, None]), KernelConfig(sigma=0.04))
+        refs = reference_points_1d(model)
+        xs = np.linspace(-0.1, 1.1, 100)
+        want = [variance_estimator_auto(x, fit(model.S, model.cfg), refs) for x in xs]
+        calls = []
+        orig_sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda *a, **k: calls.append(1) or orig_sort(*a, **k))
+        got = [variance_estimator_auto(x, model, refs) for x in xs]
+        assert len(calls) == 1
+        assert got == want   # the cached order gives the same values, bit for bit
 
     def test_gp_demo_zero_std_at_observations(self):
         rng = np.random.default_rng(3)

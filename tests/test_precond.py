@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -8,6 +9,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from covfield import (
+    AfnPreconditioner,
     DivergenceError,
     IllConditionedKernelError,
     KernelConfig,
@@ -201,7 +203,7 @@ class TestAfn:
         X = PointSet(3.0 * rng.standard_normal((60, 2)))
         cfg = KernelConfig(sigma=0.5)
         K = kernel_matrix(X, X, cfg)
-        P = afn_build(X, cfg, r=59, pattern="geometric", delta=1e9, landmark_seed=13)
+        P = afn_build(X, cfg, r=59, pattern="geometric", delta=1e9, seed=13)
         MiK = np.column_stack([P.apply_inverse(K[:, j]) for j in range(60)])
         eigs = np.linalg.eigvals(MiK)
         np.testing.assert_allclose(eigs, 1.0, atol=1e-6)
@@ -209,7 +211,7 @@ class TestAfn:
     def test_apply_inverse_pair(self):
         X = generate_gaussian_cloud(150, 3, 14)
         cfg = KernelConfig(sigma=0.8)
-        P = afn_build(X, cfg, r=30, delta=2 * cfg.sigma, landmark_seed=15)
+        P = afn_build(X, cfg, r=30, delta=2 * cfg.sigma, seed=15)
         v = np.random.default_rng(16).standard_normal(150)
         np.testing.assert_allclose(P.apply(P.apply_inverse(v)), v, atol=1e-8)
         np.testing.assert_allclose(P.apply_inverse(P.apply(v)), v, atol=1e-8)
@@ -217,7 +219,7 @@ class TestAfn:
     def test_apply_inverse_linear_and_symmetric(self):
         X = PointSet(3.0 * generate_gaussian_cloud(100, 2, 17).coords)
         cfg = KernelConfig(sigma=0.6)
-        P = afn_build(X, cfg, r=25, delta=2 * cfg.sigma, landmark_seed=18)
+        P = afn_build(X, cfg, r=25, delta=2 * cfg.sigma, seed=18)
         rng = np.random.default_rng(19)
         u, v = rng.standard_normal((2, 100))
         a, b = 0.3, -1.7
@@ -228,11 +230,21 @@ class TestAfn:
         )
         assert P.apply_inverse(u) @ v == pytest.approx(u @ P.apply_inverse(v), abs=1e-10)
 
+    def test_fields_are_the_factors(self):
+        X = generate_gaussian_cloud(80, 2, 51)
+        P = afn_build(X, KernelConfig(sigma=0.5), r=20, delta=1.0, seed=52)
+        assert [f.name for f in dataclasses.fields(AfnPreconditioner)] == [
+            "perm", "L", "W", "G", "jitter_used"]
+        assert P.r == P.W.shape[0] == 20
+        for extra in ({"r": 20}, {"GT": P.GT}):
+            with pytest.raises(TypeError):
+                AfnPreconditioner(P.perm, P.L, P.W, P.G, P.jitter_used, **extra)
+
     def test_stored_transpose_bitwise(self):
         # apply_inverse multiplies by the stored CSR transpose in place of G.T
         X = generate_gaussian_cloud(150, 3, 44)
         cfg = KernelConfig(sigma=0.8, tau=0.01)
-        P = afn_build(X, cfg, r=30, delta=2 * cfg.sigma, landmark_seed=45)
+        P = afn_build(X, cfg, r=30, delta=2 * cfg.sigma, seed=45)
         assert P.GT.format == "csr"
         for y in np.random.default_rng(46).standard_normal((5, 120)):
             want = P.G.T @ y
@@ -244,7 +256,7 @@ class TestAfn:
     def test_apply_inverse_bitwise_equal_to_former_formula(self, pattern, d, tau):
         X = generate_gaussian_cloud(300, d, 47)
         cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=tau)
-        P = afn_build(X, cfg, r=60, pattern=pattern, landmark_seed=48, pattern_seed=49)
+        P = afn_build(X, cfg, r=60, pattern=pattern, seed=48)
 
         def former(v):
             vp = v[P.perm]
@@ -264,7 +276,7 @@ class TestAfn:
 
     def test_apply_inverse_rejects_non_finite(self):
         X = generate_gaussian_cloud(50, 2, 20)
-        P = afn_build(X, KernelConfig(sigma=0.5), r=10, delta=1.0, landmark_seed=21)
+        P = afn_build(X, KernelConfig(sigma=0.5), r=10, delta=1.0, seed=21)
         for bad, at in ((np.nan, P.perm[0]), (np.nan, P.perm[-1]),
                         (np.inf, P.perm[0]), (-np.inf, P.perm[-1])):
             v = np.ones(50)
@@ -274,7 +286,7 @@ class TestAfn:
 
     def test_zero_maps_to_zero(self):
         X = generate_gaussian_cloud(50, 2, 20)
-        P = afn_build(X, KernelConfig(sigma=0.5), r=10, delta=1.0, landmark_seed=21)
+        P = afn_build(X, KernelConfig(sigma=0.5), r=10, delta=1.0, seed=21)
         np.testing.assert_array_equal(P.apply_inverse(np.zeros(50)), np.zeros(50))
 
     def test_build_time_budget(self):
@@ -282,7 +294,7 @@ class TestAfn:
         sigma = bandwidth_percentile(X, 2)
         cfg = KernelConfig(sigma=sigma, tau=0.004)
         t0 = time.perf_counter()
-        afn_build(X, cfg, r=200, delta=2 * sigma, landmark_seed=43)
+        afn_build(X, cfg, r=200, delta=2 * sigma, seed=43)
         assert time.perf_counter() - t0 < 10.0
 
     def test_rank_bounds(self):
@@ -483,7 +495,7 @@ class TestMethodOrdering:
         cfg = KernelConfig(sigma=sigma, tau=0.004)
         rows = run_methods(
             X, cfg, r=60, delta=2 * sigma,
-            landmark_seed=27, pattern_seed=28, rhs_seed=29,
+            seed=27,
         )
         by = {r["method"]: r for r in rows}
         assert by[3]["iterations"] < by[2]["iterations"]
@@ -492,7 +504,7 @@ class TestMethodOrdering:
         b = np.random.default_rng(29).standard_normal(X.n)
         b /= np.linalg.norm(b)
         P2 = afn_build(
-            X, cfg, r=60, pattern="random", landmark_seed=27, pattern_seed=28
+            X, cfg, r=60, pattern="random", seed=27
         )
         _, _, hist2 = pcg(A, b, P2.apply_inverse, max_iter=by[3]["iterations"])
         assert hist2[-1] >= by[3]["residual"] - 1e-12
@@ -506,7 +518,7 @@ class TestMethodOrdering:
         orig_fit = precond_mod.fit
         monkeypatch.setattr(precond_mod, "fit", lambda *a: calls.append(1) or orig_fit(*a))
         rows = run_methods(X, cfg, r=40, delta=2 * cfg.sigma,
-                           landmark_seed=31, pattern_seed=32, rhs_seed=33)
+                           seed=31)
         assert len(calls) == 1
         # each shared-factor row equals a solve with its own afn_build
         A = kernel_matrix(X, X, cfg) + cfg.tau**2 * np.eye(X.n)
@@ -514,7 +526,7 @@ class TestMethodOrdering:
         b /= np.linalg.norm(b)
         for row in rows[1:]:
             P = afn_build(X, cfg, 40, pattern="geometric" if row["method"] == 3 else "random",
-                          delta=2 * cfg.sigma, landmark_seed=31, pattern_seed=32)
+                          delta=2 * cfg.sigma, seed=31)
             x, iters, _ = pcg(A, b, P.apply_inverse)
             assert iters == row["iterations"]
             assert float(np.linalg.norm(b - A @ x)) == row["residual"]
