@@ -22,7 +22,8 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,23 +51,35 @@ BOUNDS_DEFAULT_SIGMA = {1: 0.05, 2: 0.05, 3: 0.4}
 DISK_RADIUS = 0.4
 
 
+class _Rows(NamedTuple):
+    """Rows as one item of ``_write_csv``'s rows: row r is ``lead[r]`` (its
+    first columns, already written) and then its share of ``cells``."""
+
+    lead: tuple
+    cells: tuple
+
+
 def _write_csv(path, header, rows, timestamp: bool) -> int:
     """Write ``header`` and ``rows`` to ``path`` and return the row count.
-    The first row fixes each column as ``%s`` (a str cell) or ``%.17g`` (any
-    number; an int below 1e17 prints as its digits), and every row is then
-    one ``%`` with that template, so a row that does not fit it (a str in a
-    number column, a list of two or more cells) raises ``TypeError``."""
-    rows = iter(rows)
-    first = next(rows, None)
+    An item of ``rows`` is a ``_Rows`` block, or a row of cells: the block
+    ``_Rows(("",), row)``.  The first row's cells fix each column they fill
+    as ``%s`` (a str cell) or ``%.17g`` (any number; an int below 1e17 prints
+    as its digits), and every block is then one ``%`` with that template
+    after each lead, so a row that does not fit it (a str in a number
+    column, a list of two or more cells) raises ``TypeError``."""
+    blocks = (r if isinstance(r, _Rows) else _Rows(("",), r) for r in rows)
+    first = next(blocks, None)
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         if timestamp:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(",".join(header) + "\n")
         if first is not None:
-            line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in first) + "\n"
-            for n, row in enumerate(chain((first,), rows), 1):
-                fh.write(line % row)
+            cells = first.cells[: len(first.cells) // len(first.lead)]
+            line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in cells) + "\n"
+            for lead, cells in chain((first,), blocks):
+                fh.write((line.join(lead) + line) % cells)
+                n += len(lead)
     return n
 
 
@@ -83,12 +96,14 @@ def _unit_grid(n: int) -> PointSet:
 
 
 def _grid_rows(g: PointSet, *mats: np.ndarray):
-    """Rows ``(x_i, x_j, M[i, j] for M in mats)`` of Python floats over every
-    grid pair.  Rows are made one grid row at a time, since the whole grid as
-    row tuples would hold several times the memory of the matrices."""
-    xs = g.coords[:, 0].tolist()
-    for i, x in enumerate(xs):
-        yield from zip(repeat(x), xs, *(M[i].tolist() for M in mats))
+    """Rows ``x_i, x_j, M[i, j] for M in mats`` over every grid pair, one
+    ``_Rows`` block of Python floats per grid row i, with each x written once
+    as "%.17g" does.  Blocks are made one at a time, since the whole grid as
+    Python floats would hold several times the memory of the matrices."""
+    xs = ["%.17g," % x for x in g.coords[:, 0].tolist()]
+    for i, xi in enumerate(xs):
+        cells = np.column_stack([M[i] for M in mats]).ravel().tolist()
+        yield _Rows(tuple(map(xi.__add__, xs)), tuple(cells))
 
 
 def _at_least(args, **lows: int) -> None:

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDataError, UnsupportedDimensionError
-from .geometry import PointSet, as_point, dist_to_set, sq_dists
-from .kernel import KernelConfig, kernel_matrix
+from .geometry import PointSet, _distances, as_point, dist_to_set
+from .kernel import KernelConfig, _check_sigma, kernel_matrix
 from .posterior import PosteriorModel
 
 FIELD_REGIME_CUT = 0.3
@@ -34,18 +34,19 @@ class DistMetrics(NamedTuple):
 
 def dist_metrics(x, S: PointSet, sigma: float) -> DistMetrics:
     """Nearest-point and cumulative distance of x to S, in units of sigma."""
-    d = np.sqrt(sq_dists(as_point(x, S.d), S.coords))
-    return DistMetrics(float(d.min()) / sigma, float(np.sqrt(np.add.reduce(d * d))) / sigma)
+    _check_sigma(sigma)
+    rec = _distances(x, S)
+    return DistMetrics(rec.nearest / sigma, float(np.sqrt(np.add.reduce(rec.d * rec.d))) / sigma)
 
 
 def field_estimator_small(x, y, S: PointSet, sigma: float) -> float:
     """Relative field estimator for the small-bandwidth regime:
     sqrt(nearest(x) * nearest(y)) * exp(-||x-y||^2 / (2 sigma^2))."""
-    px = as_point(x, S.d)
-    py = as_point(y, S.d)
-    hx = dist_to_set(px, S)[0] / sigma
-    hy = dist_to_set(py, S)[0] / sigma
-    t = px - py
+    _check_sigma(sigma)
+    rx, ry = _distances(x, S), _distances(y, S)
+    hx = rx.nearest / sigma
+    hy = ry.nearest / sigma
+    t = rx.p - ry.p
     sq = float(np.add.reduce(t * t))
     return math.sqrt(hx * hy) * math.exp(-sq / (2.0 * sigma**2))
 
@@ -68,6 +69,7 @@ def estimator_field(X: PointSet, S: PointSet, sigma: float) -> np.ndarray:
     small-bandwidth form for sigma < ``FIELD_REGIME_CUT``, the large one
     otherwise.  The grid form of ``field_estimator_small``/``_large``; its
     products are taken in another order, so the last bits may differ."""
+    _check_sigma(sigma)
     D = cdist(X.coords, S.coords)
     near = D.min(axis=1) / sigma
     if sigma < FIELD_REGIME_CUT:
@@ -105,6 +107,8 @@ class ReferencePointSet:
     def __post_init__(self):
         if self.points.n != len(self.variances):
             raise ValueError("one variance per reference point required")
+        if not np.all(np.isfinite(self.variances)):
+            raise ValueError("reference variances must be finite")
 
 
 def reference_points_1d(model: PosteriorModel) -> ReferencePointSet:
@@ -132,6 +136,8 @@ def variance_estimator_large(x, refs: ReferencePointSet, S: PointSet, cfg: Kerne
     iz = dist_to_set(x, refs.points)[1]
     dx = dist_to_set(x, S)[0]
     dz = dist_to_set(refs.points.coords[iz], S)[0]
+    if dz == 0.0:
+        raise DegenerateDataError(f"reference point {iz} lies on the observation set")
     return (dx / dz) * float(refs.variances[iz])
 
 

@@ -6,7 +6,9 @@ generator here replays bit-identically for a given seed.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -18,16 +20,22 @@ PRESETS = {
     "nonuniform1d": (0.02, 0.12, 0.22, 0.6, 0.98),
 }
 
+# entries in a point set's or a model's per-point memo: a query pair's two points, twice
+_MEMO_SIZE = 4
+_pack_double = struct.Struct("d").pack
+
 
 @dataclass(frozen=True)
 class PointSet:
     """An ordered, immutable collection of n points in R^d.
 
     ``coords`` is an (n, d) float array; one row per point.  Coordinates must
-    be finite and n >= 1, d >= 1.
+    be finite and n >= 1, d >= 1.  ``_memo`` holds ``_distances`` records;
+    equality, hashing and repr ignore it.
     """
 
     coords: np.ndarray = field(repr=False)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.coords, dtype=float))
@@ -84,15 +92,44 @@ def sq_dists(p: np.ndarray, C: np.ndarray) -> np.ndarray:
     return sq
 
 
+class _Distances(NamedTuple):
+    """A point p and its distances to a point set S, memoized on S."""
+
+    key: bytes         # p's bytes
+    p: np.ndarray      # read-only, so the caller may reuse its own array
+    sq: np.ndarray     # sq_dists(p, S.coords)
+    d: np.ndarray      # sqrt(sq)
+    index: int         # argmin of d: ties go to the lowest index
+    nearest: float     # d[index] = dist(p, S)
+
+
+def _distances(x, S: PointSet) -> _Distances:
+    """``x`` as a point of S's dimension with its distances to S: one pass
+    over S per new point.  A full memo is cleared before the next insertion;
+    a record is never changed once stored, so concurrent callers can only
+    miss, never read another point's record."""
+    # a float's key is packed straight from it: the bytes of as_point(x, 1)
+    key = _pack_double(x) if type(x) is float and S.d == 1 else as_point(x, S.d).tobytes()
+    rec = S._memo.get(key)
+    if rec is None:
+        p = np.frombuffer(key)
+        d = np.sqrt(sq := sq_dists(p, S.coords))
+        i = int(d.argmin())
+        rec = _Distances(key, p, sq, d, i, float(d[i]))
+        if len(S._memo) >= _MEMO_SIZE:
+            S._memo.clear()
+        S._memo[key] = rec
+    return rec
+
+
 def dist_to_set(x, S: PointSet) -> tuple[float, int]:
     """Distance from ``x`` to the nearest point of ``S``.
 
     Returns ``(value, index)`` where ``index`` is the argmin (ties broken by
     the lowest index, as ``argmin`` does).
     """
-    dists = np.sqrt(sq_dists(as_point(x, S.d), S.coords))
-    i = int(dists.argmin())
-    return float(dists[i]), i
+    rec = _distances(x, S)
+    return rec.nearest, rec.index
 
 
 ROW_BLOCK = 256   # rows per block wherever an n x n array is read a block at a time

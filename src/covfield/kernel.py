@@ -25,13 +25,16 @@ class KernelConfig:
     tau: float = 0.0
 
     def __post_init__(self):
-        # chained comparisons, so NaN fails too
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        _check_sigma(self.sigma)
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not 0 <= self.tau < math.inf:
             raise ValueError(f"tau must be nonnegative and finite, got {self.tau}")
+
+
+def _check_sigma(sigma: float) -> None:
+    if not 0 < sigma < math.inf:   # chained comparisons, so NaN fails too
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 def kernel_eval(u, v, cfg: KernelConfig) -> float:

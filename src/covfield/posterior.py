@@ -32,13 +32,10 @@ from scipy.linalg.lapack import dpotrs
 from scipy.spatial.distance import cdist
 
 from .errors import IllConditionedKernelError, NumericalConsistencyError
-from .geometry import PointSet, as_point, sq_dists
+from .geometry import _MEMO_SIZE, PointSet, _distances
 from .kernel import KernelConfig, _kernel_row, _pair_kernel, kernel_matrix
 
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
-
-# entries in a model's per-point memo: the two points of a query pair, twice over
-_MEMO_SIZE = 4
 
 
 def jittered_cholesky(A: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
@@ -93,36 +90,32 @@ class PosteriorModel:
     def _point(self, x) -> tuple[np.ndarray, PointTerms]:
         """The coerced point p and its ``PointTerms``, memoized on p's bytes.
 
+        The kernel row and dist(p, S) come from S's ``_distances`` record.
         A full memo is cleared before the next insertion.  Each dict
         operation on the memo is atomic and an entry is never changed after
         insertion, so concurrent callers can only miss, never read another
         point's terms; threads that insert at the same moment may each add
         one entry past ``_MEMO_SIZE`` before the next clear.
         """
-        p = as_point(x, self.S.d)
-        key = p.tobytes()
-        terms = self._memo.get(key)
+        rec = _distances(x, self.S)
+        terms = self._memo.get(rec.key)
         if terms is not None:
-            return p, terms
-        if not all(map(math.isfinite, p.tolist())):
+            return rec.p, terms
+        if not all(map(math.isfinite, rec.p.tolist())):
             raise ValueError("coordinates must be finite")
-        # one pass over S gives the kernel row, dist(p, S) and whether p is in S
-        sq = sq_dists(p, self.S.coords)
-        k = _kernel_row(sq, self.cfg)
-        nearest = min(sq.tolist())
-        if nearest == 0.0 and self._exact_at_obs:
-            w = (sq == 0.0) * 1.0
+        k = _kernel_row(rec.sq, self.cfg)
+        if rec.nearest == 0.0 and self._exact_at_obs:
+            w = (rec.sq == 0.0) * 1.0
         else:
             # dpotrs is the LAPACK solve behind cho_solve, minus its per-call checks
             w, info = dpotrs(self.chol, k, lower=1)
             if info != 0:
                 raise NumericalConsistencyError(f"dpotrs failed with info = {info}")
-        # sqrt is monotone and correctly rounded: sqrt(min sq) is min sqrt(sq)
-        terms = PointTerms(k, w, math.sqrt(nearest), math.sqrt(float(w @ w)))
+        terms = PointTerms(k, w, rec.nearest, math.sqrt(float(w @ w)))
         if len(self._memo) >= _MEMO_SIZE:
             self._memo.clear()
-        self._memo[key] = terms
-        return p, terms
+        self._memo[rec.key] = terms
+        return rec.p, terms
 
     def cross_weights(self, y) -> np.ndarray:
         """Solve (K_SS + (tau^2 + jitter) I) w = K_Sy; a copy of the memo's w."""

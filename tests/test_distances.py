@@ -164,9 +164,8 @@ class TestOnePassPerMiss:
             calls.append(1)
             return sq_dists(p, C)
 
-        # both bindings, so a distance taken through geometry is counted too
+        # every pass over S is made by geometry's distance record
         monkeypatch.setattr(geometry, "sq_dists", counting)
-        monkeypatch.setattr(posterior, "sq_dists", counting)
         model = fit(nonuniform1d, KernelConfig(sigma=0.1))
         x, y = 0.31, 0.47    # neither is on S
         model._point(x)
@@ -181,3 +180,68 @@ class TestOnePassPerMiss:
         assert len(calls) == 2
         model._point(0.12)   # an observation point is a miss like any other
         assert len(calls) == 3
+
+
+def _record_results(S, refs, model, x, y):
+    """Everything read from S's distance records of x and y (and of the
+    nearest reference point), as one flat tuple."""
+    cfg = model.cfg
+    return (*dist_to_set(x, S), *dist_to_set(y, S), *dist_metrics(x, S, cfg.sigma),
+            field_estimator_small(x, y, S, cfg.sigma), field_estimator_large(x, y, S, cfg.sigma),
+            variance_estimator_small(x, S, cfg), variance_estimator_large(x, refs, S, cfg),
+            model.cov(x, y), upper_bound_small(model, x, y), upper_bound_large(model, x, y))
+
+
+class TestDistanceRecord:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_warm_record_bitwise_equal_to_fresh_point_set(self, d):
+        S = PointSet(cloud(d, 6, d))
+        cfg = KernelConfig(sigma=0.3, beta=1.3)
+        refs = ReferencePointSet(PointSet(cloud(d, 4, 60 + d)), np.linspace(0.1, 0.4, 4))
+        model = fit(S, cfg)
+        for x, y in memo_pairs(S, seed=50 + d):
+            fresh = PointSet(S.coords)
+            want = _record_results(fresh, ReferencePointSet(PointSet(refs.points.coords),
+                                                             refs.variances),
+                                   fit(fresh, cfg), x, y)
+            for _ in range(2):   # the second round reads every record warm
+                assert bits(_record_results(S, refs, model, x, y)) == bits(want)
+
+    def test_memo_stays_bounded(self, uniform1d):
+        for x in np.linspace(-0.5, 1.5, 1000):
+            dist_to_set(x, uniform1d)
+            assert len(uniform1d._memo) <= geometry._MEMO_SIZE
+        assert len(uniform1d._memo) > 0
+
+    def test_equality_and_repr_ignore_the_memo(self):
+        S, T = PointSet([[0.5]]), PointSet([[0.5]])
+        dist_to_set(0.1, S)
+        assert len(S._memo) == 1 and len(T._memo) == 0
+        assert S == T and repr(S) == repr(T) == "PointSet(n=1, d=1)"
+
+    def test_record_holds_its_own_copy_of_the_point(self, uniform1d):
+        x = np.array([0.31])
+        want = dist_to_set(x, uniform1d)
+        rec = geometry._distances(x, uniform1d)
+        x[0] = 0.9   # the caller reuses its array
+        assert rec.p.tolist() == [0.31] and not rec.p.flags.writeable
+        assert dist_to_set(0.31, uniform1d) == want
+        assert len(uniform1d._memo) == 1   # a float shares its point's record
+        for v in (-0.0, math.nan):
+            assert geometry._distances(v, uniform1d).key == np.array([v]).tobytes()
+
+    def test_ties_found_by_seeded_search(self):
+        # a point p with two observations equally far away in exact arithmetic:
+        # their squared distances round apart, their square roots together
+        for seed in range(1000):
+            p, s1 = np.random.default_rng(seed).uniform(0.0, 1.0, (2, 2))
+            S = PointSet(np.array([2.0 * p - s1, s1]))
+            sq = geometry.sq_dists(p, S.coords)
+            if sq[1] < sq[0] and math.sqrt(sq[1]) == math.sqrt(sq[0]):
+                break
+        else:
+            pytest.fail("no tie in 1000 seeds")
+        want = (math.sqrt(sq[0]), 0)   # the lower index, as the rooted argmin gives it
+        assert dist_to_set(p, S) == want
+        assert dist_to_set(p, S) == want   # read from the record
+        assert dist_to_set(p, PointSet(S.coords)) == want

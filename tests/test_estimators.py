@@ -1,8 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-import covfield.estimators as est_mod
 import covfield.geometry as geo_mod
 from covfield import (
     DegenerateDataError,
@@ -21,7 +22,7 @@ from covfield import (
     variance_estimator_large,
     variance_estimator_small,
 )
-from covfield.estimators import FIELD_REGIME_CUT
+from covfield.estimators import FIELD_REGIME_CUT, ReferencePointSet
 
 from conftest import dense_posterior_oracle, unit_grid
 
@@ -89,6 +90,7 @@ class TestFieldEstimators:
                 assert b * (0.4 * c) ** 4 == pytest.approx(a * 0.4**4, rel=1e-12)
 
     def test_per_query_cost_is_linear_in_r(self, uniform1d, monkeypatch):
+        # a new point costs one O(r) pass per point set, a repeated one none
         calls = []
         orig = geo_mod.sq_dists
 
@@ -96,17 +98,37 @@ class TestFieldEstimators:
             calls.append(len(C))
             return orig(p, C)
 
-        # both bindings, so distances taken through dist_to_set are counted too
+        # every distance to a point set is taken by geometry's distance record
         monkeypatch.setattr(geo_mod, "sq_dists", counting)
-        monkeypatch.setattr(est_mod, "sq_dists", counting)
+        cfg = KernelConfig(sigma=0.1)
         field_estimator_small(0.31, 0.44, uniform1d, 0.1)
-        assert len(calls) == 2 and all(c == uniform1d.n for c in calls)
+        assert calls == [uniform1d.n] * 2
         calls.clear()
         field_estimator_large(0.31, 0.44, uniform1d, 0.4)
-        assert len(calls) == 2
+        variance_estimator_small(0.31, uniform1d, cfg)
+        assert calls == []
+        field_estimator_large(0.32, 0.45, uniform1d, 0.4)
+        assert calls == [uniform1d.n] * 2
         calls.clear()
-        variance_estimator_small(0.31, uniform1d, KernelConfig(sigma=0.1))
-        assert len(calls) == 1
+        variance_estimator_small(0.33, uniform1d, cfg)
+        assert calls == [uniform1d.n]
+        calls.clear()
+        # x against the reference set, then its nearest reference point 0.1 against S
+        refs = ReferencePointSet(PointSet(np.array([[0.1], [0.6], [0.9]])), np.ones(3))
+        variance_estimator_large(0.33, refs, uniform1d, cfg)
+        assert calls == [refs.points.n, uniform1d.n]
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, -1.0, math.nan, math.inf])
+    def test_sigma_must_be_positive_and_finite(self, uniform1d, sigma):
+        calls = [
+            lambda: dist_metrics(0.3, uniform1d, sigma),
+            lambda: field_estimator_small(0.3, 0.4, uniform1d, sigma),
+            lambda: field_estimator_large(0.3, 0.4, uniform1d, sigma),
+            lambda: estimator_field(unit_grid(5), uniform1d, sigma),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                call()
 
 
 class TestEstimatorField:
@@ -257,6 +279,16 @@ class TestVarianceEstimatorLarge:
         )[0, 0]
         got = variance_estimator_large(0.25, refs, S, cfg)
         assert got == pytest.approx(0.5 * v_half, abs=1e-12)
+
+    def test_reference_point_on_observations_raises(self, uniform1d):
+        refs = ReferencePointSet(PointSet(np.array([[0.1], [0.26]])), np.array([0.2, 0.3]))
+        with pytest.raises(DegenerateDataError, match="reference point 1 "):
+            variance_estimator_large(0.3, refs, uniform1d, KernelConfig(sigma=0.4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_reference_variances_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ReferencePointSet(PointSet(np.array([[0.1], [0.5]])), np.array([0.2, bad]))
 
 
 class TestVarianceEstimatorAuto:
