@@ -97,7 +97,7 @@ def variance_estimator_small(x, S: PointSet, cfg: KernelConfig) -> float:
     return cfg.beta * (1.0 - math.exp(-(nu**2) / (2.0 * cfg.sigma**2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferencePointSet:
     """Off-observation points with their exact posterior variances attached."""
 

@@ -6,6 +6,7 @@ generator here replays bit-identically for a given seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -25,17 +26,18 @@ _MEMO_SIZE = 4
 _pack_double = struct.Struct("d").pack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """An ordered, immutable collection of n points in R^d.
 
     ``coords`` is an (n, d) float array; one row per point.  Coordinates must
-    be finite and n >= 1, d >= 1.  ``_memo`` holds ``_distances`` records;
-    equality, hashing and repr ignore it.
+    be finite and n >= 1, d >= 1.  ``_memo`` holds ``_distances`` records.
+    Two point sets are equal when their coords are (same shape, same values,
+    in order); like the arrays they hold, point sets are unhashable.
     """
 
     coords: np.ndarray = field(repr=False)
-    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.coords, dtype=float))
@@ -62,6 +64,9 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet(n={self.n}, d={self.d})"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PointSet) and np.array_equal(self.coords, other.coords)
 
 
 def as_point(x, d: int | None = None) -> np.ndarray:
@@ -107,12 +112,15 @@ def _distances(x, S: PointSet) -> _Distances:
     """``x`` as a point of S's dimension with its distances to S: one pass
     over S per new point.  A full memo is cleared before the next insertion;
     a record is never changed once stored, so concurrent callers can only
-    miss, never read another point's record."""
+    miss, never read another point's record.  A point with a NaN or infinite
+    coordinate raises ValueError before its pass."""
     # a float's key is packed straight from it: the bytes of as_point(x, 1)
     key = _pack_double(x) if type(x) is float and S.d == 1 else as_point(x, S.d).tobytes()
     rec = S._memo.get(key)
     if rec is None:
         p = np.frombuffer(key)
+        if not all(map(math.isfinite, p.tolist())):
+            raise ValueError("coordinates must be finite")
         d = np.sqrt(sq := sq_dists(p, S.coords))
         i = int(d.argmin())
         rec = _Distances(key, p, sq, d, i, float(d[i]))

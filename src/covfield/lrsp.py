@@ -23,7 +23,7 @@ from .kernel import KernelConfig, kernel_matrix
 from .posterior import fit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NystromFactor:
     """Landmark indices into X and the factor W with W^T W ~= K_XX.
 
@@ -100,30 +100,29 @@ def lrsp_dense(factor: NystromFactor, correction: sp.csr_matrix) -> np.ndarray:
     return lowrank_dense(factor) + correction.toarray()
 
 
-class _ErrorNorms:
-    """(max_ij |E_ij|, ||E v|| / ||v||) of one error matrix E per step,
-    folded in one row block of E at a time.
+def _error_sweep(X: PointSet, cfg: KernelConfig, v: np.ndarray, steps: int, update):
+    """(max_ij |E_ij|, ||E v|| / ||v||) of the error matrix E after each of
+    ``steps`` steps, in one pass over ``geometry.row_blocks``.
 
-    The max is read as max(E.max(), -E.min()), bitwise equal to
-    ``np.abs(E).max()`` without its temporary, and the rows of E v fill one
-    vector per step, so both norms are those of the whole E.
+    Each block's E starts as its rows of K; the generator ``update(rows, E)``
+    changes E in place and yields once per step, and the block then folds
+    into that step's norms.  The max is read as max(E.max(), -E.min()),
+    bitwise equal to ``np.abs(E).max()`` without its temporary, and the rows
+    of E v fill one vector per step, so both norms are those of the whole E.
+    Memory stays at a few blocks of rows.
     """
-
-    def __init__(self, steps: int, v: np.ndarray):
-        self.v = v
-        self.top = np.full(steps, -np.inf)
-        self.bottom = np.full(steps, np.inf)
-        self.Ev = np.empty((steps, len(v)))
-
-    def fold(self, step: int, rows: slice, E: np.ndarray) -> None:
-        self.top[step] = np.maximum(self.top[step], E.max())
-        self.bottom[step] = np.minimum(self.bottom[step], E.min())
-        self.Ev[step, rows] = E @ self.v
-
-    def norms(self) -> list[tuple[float, float]]:
-        nv = np.linalg.norm(self.v)
-        return [(float(max(t, -b)), float(np.linalg.norm(Ev) / nv))
-                for t, b, Ev in zip(self.top, self.bottom, self.Ev)]
+    top = np.full(steps, -np.inf)
+    bottom = np.full(steps, np.inf)
+    Ev = np.empty((steps, len(v)))
+    for rows in row_blocks(X.n):
+        E = kernel_matrix(PointSet(X.coords[rows]), X, cfg)
+        for step, _ in enumerate(update(rows, E)):
+            top[step] = np.maximum(top[step], E.max())
+            bottom[step] = np.minimum(bottom[step], E.min())
+            Ev[step, rows] = E @ v
+        del E   # free this block before the next one's rows are formed
+    nv = np.linalg.norm(v)
+    return [(float(max(t, -b)), float(np.linalg.norm(e) / nv)) for t, b, e in zip(top, bottom, Ev)]
 
 
 def lowrank_sweep(
@@ -132,28 +131,26 @@ def lowrank_sweep(
     """Error norms (max|E|, ||E v|| / ||v||) of E = K - W_k^T W_k for every
     rank k in ``ranks``, keyed by k.
 
-    One pass over ``geometry.row_blocks``: each block starts from its rows of
-    K, walks the distinct ranks in ascending order and subtracts the rows of
-    B^T B for the block B = W[a:b] between two consecutive ranks, so the
-    products cost n^2 k_max in all rather than n^2 sum(k), and memory stays
-    at a few blocks of rows.  The rank-block downdates round in another
-    order than one product of the whole prefix; on the ``lrsp`` defaults the
-    errors move by at most about 6e-16 relative.  README ("lrsp digits")
-    says when the row blocks keep the bits of one whole-matrix pass.
+    One ``_error_sweep``: each block starts from its rows of K, walks the
+    distinct ranks in ascending order and subtracts the rows of B^T B for
+    the block B = W[a:b] between two consecutive ranks, so the products cost
+    n^2 k_max in all rather than n^2 sum(k).  The rank-block downdates round
+    in another order than one product of the whole prefix; on the ``lrsp``
+    defaults the errors move by at most about 6e-16 relative.  README
+    ("lrsp digits") says when the row blocks keep the bits of one
+    whole-matrix pass.
     """
     todo = sorted({int(k) for k in ranks})
     if todo and not 1 <= todo[0] <= todo[-1] <= factor.rank:
         raise ValueError(f"ranks must lie in [1, {factor.rank}], got {todo[0]}..{todo[-1]}")
-    errors = _ErrorNorms(len(todo), v)
-    for rows in row_blocks(X.n):
-        E = kernel_matrix(PointSet(X.coords[rows]), X, cfg)
-        a = 0
-        for step, k in enumerate(todo):
+
+    def downdates(rows, E):
+        for a, k in zip([0] + todo, todo):
             B = factor.W[a:k]
             E -= B[:, rows].T @ B
-            errors.fold(step, rows, E)
-            a = k
-    return dict(zip(todo, errors.norms()))
+            yield
+
+    return dict(zip(todo, _error_sweep(X, cfg, v, len(todo), downdates)))
 
 
 def lrsp_sweep(
@@ -167,9 +164,8 @@ def lrsp_sweep(
     itself there, so the error is R0 with the pattern zeroed.  D is
     ``geometry.distance_matrix``, so each mask is ``pattern_by_radius``'s and
     nnz counts its pairs.  The radii must not decrease: the patterns then
-    nest, and one pass over ``geometry.row_blocks`` forms each block's rows
-    of R0 and D and zeroes each mask in place on top of the last, so memory
-    stays at a few blocks of rows.
+    nest, and one ``_error_sweep`` forms each block's rows of R0 and D and
+    zeroes each mask in place on top of the last.
     """
     radii = np.asarray(radii, dtype=float)
     if not np.all(radii >= 0):
@@ -178,18 +174,17 @@ def lrsp_sweep(
         raise ValueError("radii must not decrease")
     W = factor.W
     nnz = [0] * len(radii)
-    errors = _ErrorNorms(len(radii), v)
-    for rows in row_blocks(X.n):
-        E = kernel_matrix(PointSet(X.coords[rows]), X, cfg)
+
+    def masks(rows, E):
         E -= W[:, rows].T @ W
         D = distance_matrix(X, rows)
         for step, delta in enumerate(radii):
             mask = D <= delta
             nnz[step] += int(np.count_nonzero(mask))
             np.copyto(E, 0.0, where=mask)
-            errors.fold(step, rows, E)
-        del E, D   # free this block before the next one's rows are formed
-    return [(z, *norms) for z, norms in zip(nnz, errors.norms())]
+            yield
+
+    return [(z, *norms) for z, norms in zip(nnz, _error_sweep(X, cfg, v, len(radii), masks))]
 
 
 def cost_equivalent_rank(r0: float, N: float, nnz: float) -> float:

@@ -63,7 +63,7 @@ class PointTerms(NamedTuple):
     wnorm: float     # ||w||_2, as sqrt(w @ w) (what np.linalg.norm evaluates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorModel:
     """A factored observation set; one built directly from its public fields
     evaluates exactly as the one ``fit`` returns."""
@@ -72,7 +72,7 @@ class PosteriorModel:
     cfg: KernelConfig
     chol: np.ndarray = field(repr=False)          # lower factor of K_SS + (tau^2 + jitter) I
     jitter_used: float = 0.0
-    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     @property
     def r(self) -> int:
@@ -101,8 +101,6 @@ class PosteriorModel:
         terms = self._memo.get(rec.key)
         if terms is not None:
             return rec.p, terms
-        if not all(map(math.isfinite, rec.p.tolist())):
-            raise ValueError("coordinates must be finite")
         k = _kernel_row(rec.sq, self.cfg)
         if rec.nearest == 0.0 and self._exact_at_obs:
             w = (rec.sq == 0.0) * 1.0
@@ -142,7 +140,7 @@ class PosteriorModel:
     def cov_matrix(self, X: PointSet, Y: PointSet) -> np.ndarray:
         """Posterior covariance matrix R(X, Y).  Exactly symmetric when X
         equals Y: ``kernel_matrix`` is, and numpy forms A^T A as a syrk."""
-        same = X is Y or (X.n == Y.n and np.array_equal(X.coords, Y.coords))
+        same = X == Y
         A = self.whitened_cross(X)
         B = A if same else self.whitened_cross(Y)
         R = kernel_matrix(X, Y, self.cfg)

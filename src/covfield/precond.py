@@ -151,7 +151,7 @@ def _trtrs(UT: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AfnPreconditioner:
     perm: np.ndarray = field(repr=False)     # X order -> [S; T]
     L: np.ndarray = field(repr=False)        # chol of K_SS + tau^2 I (+ jitter)
@@ -227,33 +227,30 @@ def afn_build(
     ``seed``); the FSAI pattern on the remaining points is either
     ``geometric`` (distance threshold ``delta``, default 2 sigma) or
     ``random`` (per-row cap ``RANDOM_ROW_CAP``, seeded with ``seed + 1``).
+    A bad r, pattern or delta (checked with either pattern) raises
+    ValueError before any kernel work.
     """
-    perm, schur = _landmark_split(X, cfg, r, seed)
-    return _afn_on_pattern(perm, schur, pattern, delta, seed + 1)
+    return next(_afn_builds(X, cfg, r, [pattern], delta, seed))
 
 
-def _landmark_split(X: PointSet, cfg: KernelConfig, r: int, seed: int):
-    """The seeded permutation X -> [S; T] and the Schur complement on T."""
+def _afn_builds(X: PointSet, cfg: KernelConfig, r: int, patterns, delta, seed: int):
+    """One AFN preconditioner per name in ``patterns``, each built as it is
+    drawn, on one landmark split and Schur complement formed after the checks."""
     if not 1 <= r < X.n:
         raise ValueError(f"need 1 <= r < n, got r={r}, n={X.n}")
-    perm = np.random.default_rng(seed).permutation(X.n)
-    S = PointSet(X.coords[perm[:r]])
-    T = PointSet(X.coords[perm[r:]])
-    return perm, SchurComplement(S, T, cfg)
-
-
-def _afn_on_pattern(perm, schur: SchurComplement, pattern, delta, pattern_seed):
-    """The preconditioner on one landmark split: FSAI of the Schur block on
-    the ``geometric`` or ``random`` pattern over T."""
-    T = schur.T
-    if pattern == "geometric":
-        rows = geometric_pattern(T, 2.0 * schur.cfg.sigma if delta is None else delta)
-    elif pattern == "random":
-        rows = random_pattern(T.n, pattern_seed)
-    else:
+    if any(name not in ("geometric", "random") for name in patterns):
         raise ValueError("pattern must be 'geometric' or 'random'")
-    return AfnPreconditioner(perm, schur.L, schur.W, fsai_build(schur.block, rows),
-                             schur.jitter_used)
+    delta = 2.0 * cfg.sigma if delta is None else delta
+    if not delta >= 0:
+        raise ValueError("delta must be a nonnegative number")
+    perm = np.random.default_rng(seed).permutation(X.n)
+    schur = SchurComplement(PointSet(X.coords[perm[:r]]), PointSet(X.coords[perm[r:]]), cfg)
+    # each pattern is a temporary of its draw, freed once its FSAI factor is built
+    return (AfnPreconditioner(
+        perm, schur.L, schur.W,
+        fsai_build(schur.block, geometric_pattern(schur.T, delta) if name == "geometric"
+                   else random_pattern(schur.T.n, seed + 1)),
+        schur.jitter_used) for name in patterns)
 
 
 def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int = 1000):
@@ -381,15 +378,15 @@ def run_methods(
     z_norm = np.linalg.norm(z_ref)
 
     # methods 2 and 3 share one landmark split and differ only in the pattern
-    split = _landmark_split(X, cfg, r, seed) if set(methods) - {1} else None
+    patterns = ["geometric" if m == 3 else "random" for m in methods if m != 1]
+    builds = _afn_builds(X, cfg, r, patterns, delta, seed) if patterns else None
     out = []
     for method in methods:
         if method == 1:
             pre = None
             nnz_frac = float("nan")
         else:
-            P = _afn_on_pattern(
-                *split, "geometric" if method == 3 else "random", delta, seed + 1)
+            P = next(builds)
             pre = P.apply_inverse
             nnz_frac = P.fsai_nnz_fraction
         x, iters, hist = pcg(A, b, pre, tol_abs=tol_abs, max_iter=max_iter)

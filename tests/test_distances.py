@@ -227,8 +227,10 @@ class TestDistanceRecord:
         assert rec.p.tolist() == [0.31] and not rec.p.flags.writeable
         assert dist_to_set(0.31, uniform1d) == want
         assert len(uniform1d._memo) == 1   # a float shares its point's record
-        for v in (-0.0, math.nan):
-            assert geometry._distances(v, uniform1d).key == np.array([v]).tobytes()
+        assert geometry._distances(-0.0, uniform1d).key == np.array([-0.0]).tobytes()
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            geometry._distances(math.nan, uniform1d)
+        assert len(uniform1d._memo) == 2   # no record for the NaN point
 
     def test_ties_found_by_seeded_search(self):
         # a point p with two observations equally far away in exact arithmetic:

@@ -12,6 +12,7 @@ from covfield import (
     UnsupportedDimensionError,
     absolute_field,
     dist_metrics,
+    dist_to_set,
     estimator_field,
     field_estimator_large,
     field_estimator_small,
@@ -289,6 +290,30 @@ class TestVarianceEstimatorLarge:
     def test_reference_variances_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             ReferencePointSet(PointSet(np.array([[0.1], [0.5]])), np.array([0.2, bad]))
+
+
+_AT_POINT = {
+    "dist_to_set": lambda x, S, model, refs: dist_to_set(x, S),
+    "dist_metrics": lambda x, S, model, refs: dist_metrics(x, S, 0.4),
+    "field_small_x": lambda x, S, model, refs: field_estimator_small(x, 0.3, S, 0.1),
+    "field_small_y": lambda x, S, model, refs: field_estimator_small(0.3, x, S, 0.1),
+    "field_large_x": lambda x, S, model, refs: field_estimator_large(x, 0.3, S, 0.4),
+    "field_large_y": lambda x, S, model, refs: field_estimator_large(0.3, x, S, 0.4),
+    "variance_small": lambda x, S, model, refs: variance_estimator_small(x, S, model.cfg),
+    "variance_large": lambda x, S, model, refs: variance_estimator_large(x, refs, S, model.cfg),
+    "variance_auto": lambda x, S, model, refs: variance_estimator_auto(x, model, refs),
+}
+
+
+@pytest.mark.parametrize("name", list(_AT_POINT))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_raises(name, bad, uniform1d):
+    model = fit(uniform1d, KernelConfig(sigma=0.4))
+    refs = reference_points_1d(model)
+    for x in (bad, np.array([bad]), [bad]):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            _AT_POINT[name](x, uniform1d, model, refs)
+    assert all(math.isfinite(rec.nearest) for rec in uniform1d._memo.values())
 
 
 class TestVarianceEstimatorAuto:

@@ -33,6 +33,19 @@ class TestPointSet:
         ps = PointSet(np.arange(6.0).reshape(3, 2))
         assert (ps.n, ps.d, len(ps)) == (3, 2, 3)
 
+    def test_equal_when_coords_are(self):
+        c = np.arange(6.0).reshape(3, 2)
+        ps = PointSet(c)
+        assert ps == PointSet(c.copy()) and not ps != PointSet(c.copy())
+        assert ps != PointSet(c[::-1])                  # order counts
+        assert ps != PointSet(c.reshape(2, 3))          # unequal shapes
+        assert ps != PointSet(c[:2])
+        assert ps != c                                  # not a PointSet
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(PointSet(np.zeros((2, 1))))
+
 
 class TestDistToSet:
     def test_point_in_set(self, uniform1d):

@@ -12,12 +12,15 @@ from covfield import (
     KernelConfig,
     NumericalConsistencyError,
     PointSet,
+    afn_build,
     fit,
     generate_gaussian_cloud,
     kernel_eval,
     kernel_matrix,
     max_cross_weight_norm,
+    nystrom_build,
     preset_observations,
+    reference_points_1d,
 )
 from covfield.posterior import _MEMO_SIZE, PosteriorModel
 
@@ -25,6 +28,20 @@ from conftest import dense_posterior_oracle, memo_model, memo_pairs, unit_grid
 
 
 class TestFit:
+    def test_fitted_objects_compare_by_identity(self):
+        X = generate_gaussian_cloud(30, 2, 3)
+        cfg = KernelConfig(sigma=0.5)
+        S = PointSet(X.coords[:4])
+        builds = [
+            lambda: fit(S, cfg),
+            lambda: nystrom_build(X, np.arange(4), cfg),
+            lambda: afn_build(X, cfg, r=4, seed=5),
+            lambda: reference_points_1d(fit(preset_observations("uniform1d"), cfg)),
+        ]
+        for build in builds:
+            a, b = build(), build()
+            assert a == a and a != b and hash(a) != hash(b)
+
     def test_preset_needs_no_jitter(self, uniform1d):
         model = fit(uniform1d, KernelConfig(sigma=0.1))
         assert model.jitter_used == 0.0

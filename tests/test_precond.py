@@ -302,6 +302,25 @@ class TestAfn:
         with pytest.raises(ValueError):
             afn_build(X, KernelConfig(sigma=0.5), r=20)
 
+    @pytest.mark.parametrize("bad", [
+        dict(pattern="bogus"), dict(delta=math.nan), dict(delta=-1.0), dict(r=20),
+        dict(pattern="random", delta=math.nan),   # checked even when unused
+    ])
+    def test_bad_arguments_fail_before_the_split(self, bad, monkeypatch):
+        import covfield.precond as precond_mod
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("Schur work before the arguments were checked")
+
+        X = generate_gaussian_cloud(20, 2, 22)
+        cfg = KernelConfig(sigma=0.5)
+        monkeypatch.setattr(precond_mod, "SchurComplement", no_work)
+        with pytest.raises(ValueError):
+            afn_build(X, cfg, **{"r": 5, **bad})
+        if "pattern" not in bad:
+            with pytest.raises(ValueError):
+                run_methods(X, cfg, **{"r": 5, **bad})
+
 
 class TestPcg:
     def test_identity_one_iteration(self):
