@@ -59,6 +59,7 @@ from .precond import (
     SchurComplement,
     afn_build,
     fsai_build,
+    fsai_groups,
     geometric_pattern,
     pcg,
     random_pattern,

@@ -15,7 +15,10 @@ with G; M itself is only ever applied in tests.
 
 Patterns: ``geometric_pattern`` keeps pairs within a distance threshold
 (where the field analysis predicts the dominant Schur entries in the
-small-bandwidth regime); ``random_pattern`` is the cautionary baseline.
+small-bandwidth regime), and its FSAI factor is built on the aggregated
+pattern of ``fsai_groups``, one factorization per group of up to
+``GROUP_CAP`` nearby rows; ``random_pattern`` is the cautionary baseline,
+factored row by row.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .kernel import KernelConfig, kernel_matrix
 from .posterior import JITTER_LADDER, fit
 
 RANDOM_ROW_CAP = 0.1   # the random baseline's per-row cap, as a fraction of n_T
+GROUP_CAP = 64         # the most rows of the geometric pattern one FSAI factorization serves
 
 
 class SchurComplement:
@@ -61,7 +65,9 @@ class SchurComplement:
 
     def block(self, J) -> np.ndarray:
         J = np.asarray(J, dtype=int)
-        B = self.R.take(J, 0).take(J, 1)
+        B = np.empty((len(J), len(J)))
+        for rows in row_blocks(len(J)):   # no |J| x n_T temporary, only |rows| x n_T
+            self.R.take(J[rows], 0).take(J, 1, out=B[rows])
         B[np.diag_indices(len(J))] += self.cfg.tau**2
         return B
 
@@ -96,47 +102,95 @@ def random_pattern(nT: int, seed: int) -> list[np.ndarray]:
     return rows
 
 
-def fsai_build(block_fn, pattern: list[np.ndarray]) -> sp.csr_matrix:
+def fsai_groups(pattern: list[np.ndarray], cap: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Aggregate the rows of a lower-triangular pattern into groups that one
+    factorization serves (the supernodes of Schaefer, Katzfuss & Owhadi,
+    SISC 2021, at rho = 1).
+
+    Walking from the last row down, an unassigned row i leads a group and
+    takes the unassigned entries of its own row J_i, largest first, up to
+    ``cap`` members including i.  A group is returned as (U, pos): U the
+    sorted union of its members' rows, whose last entry is i, and pos the
+    members' ascending positions in U.  Member k = U[p] gets the row
+    U[:p+1], which contains J_k.  Groups come in ascending order of their
+    leaders; ``cap = 1`` gives one group (J_i, [len(J_i) - 1]) per row.
+    """
+    free = np.ones(len(pattern), dtype=bool)
+    groups = []
+    for i in range(len(pattern) - 1, -1, -1):
+        if free[i]:
+            J = pattern[i]
+            members = J[free[J]][-cap:]
+            free[members] = False
+            U = J if len(members) == 1 else np.unique(np.concatenate([pattern[k] for k in members]))
+            groups.append((U, np.searchsorted(U, members)))
+    return groups[::-1]
+
+
+def fsai_build(block_fn, pattern: list[np.ndarray], group_cap: int = 1) -> sp.csr_matrix:
     """Factorized sparse approximate inverse on a lower-triangular pattern.
 
-    For each row i with index set J_i, B is the symmetric J_i x J_i principal
-    block from ``block_fn`` and e the unit vector at i's position.  The row
-    B^{-1} e / sqrt(e^T B^{-1} e) equals c^{-T} e for B = c c^T, so each row
-    costs one Cholesky factorization and one triangular solve.  The result
-    satisfies diag(G B_full G^T) = 1 row-exactly.  A local jitter ladder
-    (scaled by the block's mean diagonal) handles borderline-SPD blocks; rows
-    that stay non-SPD or come out non-finite raise with the row index named.
+    The rows are factored in the groups of ``fsai_groups(pattern,
+    group_cap)``; the default ``group_cap = 1`` factors each row J_i on its
+    own.  For a group (U, pos), B is the symmetric U x U principal block
+    from ``block_fn`` and c its Cholesky factor.  Member k at position p of
+    U gets the row B_k^{-1} e / sqrt(e^T B_k^{-1} e) of the leading block
+    B_k = B[:p+1, :p+1], which is c^{-T} e_p cut to its first p + 1 entries,
+    so a group costs one Cholesky factorization and one triangular solve
+    with one right-hand side per member.  The result satisfies
+    diag(G B_full G^T) = 1 row-exactly.  A local jitter ladder (scaled by
+    the block's mean diagonal) handles borderline-SPD blocks; a group that
+    stays non-SPD raises naming its leader row, a non-finite row naming
+    itself.
     """
-    rows: list[np.ndarray] = []
     for i, J in enumerate(pattern):
         if len(J) == 0 or J[-1] != i or np.any(J[:-1] >= i) or np.any(np.diff(J) <= 0):
             raise ValueError(f"pattern row {i} is not sorted lower-triangular with diagonal")
-        B = block_fn(J)
-        m = len(J)
-        scale = float(np.mean(np.diag(B)))
-        scale = scale if scale > 0 else 1.0
-        for j in JITTER_LADDER:
-            if j:
-                # the failed attempt may have overwritten B
-                B = block_fn(J)
-                B[np.diag_indices(m)] += j * scale
-            try:
-                # B^T is B read in Fortran order, which LAPACK factors in place
-                c = cholesky(B.T, lower=True, overwrite_a=True, check_finite=False)
-                break
-            except np.linalg.LinAlgError:
-                pass
-        else:
-            raise IllConditionedKernelError(f"FSAI row {i}: local block not SPD after jitter")
-        e = np.zeros(m)
-        e[-1] = 1.0
-        g = solve_triangular(c, e, lower=True, trans="T", check_finite=False)
-        if not (g[-1] > 0 and np.isfinite(g).all()):
-            raise IllConditionedKernelError(f"FSAI row {i}: non-finite row")
-        rows.append(g)
     n = len(pattern)
-    indptr = np.concatenate(([0], np.cumsum([len(J) for J in pattern])))
-    return sp.csr_matrix((np.concatenate(rows), np.concatenate(pattern), indptr), shape=(n, n))
+    groups = fsai_groups(pattern, group_cap)
+    lengths = np.empty(n, dtype=np.int64)
+    for U, pos in groups:
+        lengths[U[pos]] = pos + 1
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for U, pos in groups:
+        g = _group_columns(block_fn, U, pos)
+        for col, p in enumerate(pos):
+            k = U[p]
+            row = g[: p + 1, col]
+            if not (row[-1] > 0 and np.isfinite(row).all()):
+                raise IllConditionedKernelError(f"FSAI row {k}: non-finite row")
+            # copied out, so no group's solve buffer outlives its group
+            data[indptr[k]: indptr[k + 1]] = row
+            indices[indptr[k]: indptr[k + 1]] = U[: p + 1]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _group_columns(block_fn, U: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The columns c^{-T} e_p, p in ``pos``, for the jittered Cholesky factor
+    c of the block U x U; the factor is freed on return, before the next
+    group's block is gathered."""
+    B = block_fn(U)
+    m = len(U)
+    scale = float(np.mean(np.diag(B)))
+    scale = scale if scale > 0 else 1.0
+    for j in JITTER_LADDER:
+        if j:
+            # the failed attempt may have overwritten B
+            B = block_fn(U)
+            B[np.diag_indices(m)] += j * scale
+        try:
+            # B^T is B read in Fortran order, which LAPACK factors in place
+            c = cholesky(B.T, lower=True, overwrite_a=True, check_finite=False)
+            break
+        except np.linalg.LinAlgError:
+            pass
+    else:
+        raise IllConditionedKernelError(f"FSAI row {U[-1]}: local block not SPD after jitter")
+    E = np.zeros((m, len(pos)), order="F")
+    E[pos, np.arange(len(pos))] = 1.0
+    return solve_triangular(c, E, lower=True, trans="T", overwrite_b=True, check_finite=False)
 
 
 def _trtrs(UT: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
@@ -225,8 +279,9 @@ def afn_build(
 
     r landmarks are drawn uniformly at random (a permutation seeded with
     ``seed``); the FSAI pattern on the remaining points is either
-    ``geometric`` (distance threshold ``delta``, default 2 sigma) or
-    ``random`` (per-row cap ``RANDOM_ROW_CAP``, seeded with ``seed + 1``).
+    ``geometric`` (distance threshold ``delta``, default 2 sigma, factored in
+    ``fsai_groups`` of up to ``GROUP_CAP`` rows) or ``random`` (per-row cap
+    ``RANDOM_ROW_CAP``, seeded with ``seed + 1``, factored row by row).
     A bad r, pattern or delta (checked with either pattern) raises
     ValueError before any kernel work.
     """
@@ -235,7 +290,8 @@ def afn_build(
 
 def _afn_builds(X: PointSet, cfg: KernelConfig, r: int, patterns, delta, seed: int):
     """One AFN preconditioner per name in ``patterns``, each built as it is
-    drawn, on one landmark split and Schur complement formed after the checks."""
+    drawn.  r, every name and delta are checked at the call; the landmark
+    split and its Schur complement are formed once, at the first draw."""
     if not 1 <= r < X.n:
         raise ValueError(f"need 1 <= r < n, got r={r}, n={X.n}")
     if any(name not in ("geometric", "random") for name in patterns):
@@ -243,14 +299,19 @@ def _afn_builds(X: PointSet, cfg: KernelConfig, r: int, patterns, delta, seed: i
     delta = 2.0 * cfg.sigma if delta is None else delta
     if not delta >= 0:
         raise ValueError("delta must be a nonnegative number")
-    perm = np.random.default_rng(seed).permutation(X.n)
-    schur = SchurComplement(PointSet(X.coords[perm[:r]]), PointSet(X.coords[perm[r:]]), cfg)
-    # each pattern is a temporary of its draw, freed once its FSAI factor is built
-    return (AfnPreconditioner(
-        perm, schur.L, schur.W,
-        fsai_build(schur.block, geometric_pattern(schur.T, delta) if name == "geometric"
-                   else random_pattern(schur.T.n, seed + 1)),
-        schur.jitter_used) for name in patterns)
+
+    def builds():
+        perm = np.random.default_rng(seed).permutation(X.n)
+        schur = SchurComplement(PointSet(X.coords[perm[:r]]), PointSet(X.coords[perm[r:]]), cfg)
+        for name in patterns:
+            # each pattern is a temporary of its draw, freed once its FSAI factor
+            # is built; the factor is not bound here, so it dies with its draw
+            yield AfnPreconditioner(
+                perm, schur.L, schur.W,
+                fsai_build(schur.block, geometric_pattern(schur.T, delta), GROUP_CAP)
+                if name == "geometric" else fsai_build(schur.block, random_pattern(schur.T.n, seed + 1)),
+                schur.jitter_used)
+    return builds()
 
 
 def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int = 1000):
@@ -357,9 +418,14 @@ def run_methods(
     comes from a dense Cholesky solve, which raises
     ``IllConditionedKernelError`` before any PCG when the system is not
     numerically positive definite.  ``delta`` is the geometric pattern's
-    threshold, 2 sigma when None.  Returns one dict per method with keys
+    threshold, 2 sigma when None; r, delta and the methods' pattern names are
+    checked before any kernel work.  Returns one dict per method with keys
     method/iterations/rel_err/residual/fsai_nnz_fraction.
     """
+    # methods 2 and 3 share one landmark split and differ only in the pattern;
+    # their arguments are checked here, the split is formed at the first draw
+    patterns = ["geometric" if m == 3 else "random" for m in methods if m != 1]
+    builds = _afn_builds(X, cfg, r, patterns, delta, seed) if patterns else None
     n = X.n
     A = kernel_matrix(X, X, cfg)
     if cfg.tau > 0:
@@ -377,18 +443,15 @@ def run_methods(
         ) from None
     z_norm = np.linalg.norm(z_ref)
 
-    # methods 2 and 3 share one landmark split and differ only in the pattern
-    patterns = ["geometric" if m == 3 else "random" for m in methods if m != 1]
-    builds = _afn_builds(X, cfg, r, patterns, delta, seed) if patterns else None
     out = []
     for method in methods:
-        if method == 1:
-            pre = None
-            nnz_frac = float("nan")
-        else:
+        # the last method's preconditioner is freed before the next is built
+        pre = None
+        nnz_frac = float("nan")
+        if method != 1:
             P = next(builds)
-            pre = P.apply_inverse
-            nnz_frac = P.fsai_nnz_fraction
+            pre, nnz_frac = P.apply_inverse, P.fsai_nnz_fraction
+            del P
         x, iters, hist = pcg(A, b, pre, tol_abs=tol_abs, max_iter=max_iter)
         out.append({
             "method": method,

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from covfield import (
     AfnPreconditioner,
@@ -19,14 +19,17 @@ from covfield import (
     bandwidth_percentile,
     fit,
     fsai_build,
+    fsai_groups,
     generate_gaussian_cloud,
     geometric_pattern,
     kernel_matrix,
     pcg,
     random_pattern,
     run_methods,
+    standardize,
 )
 from covfield.posterior import JITTER_LADDER
+from covfield.precond import GROUP_CAP
 
 
 def split(X, r, seed):
@@ -142,27 +145,87 @@ class TestFsai:
         S, T = split(X, 40, 11)
         schur = SchurComplement(S, T, cfg)
         rows = geometric_pattern(T, 2 * cfg.sigma)
-        G = fsai_build(schur.block, rows)
         R = schur.block(np.arange(T.n))
-        diag = (G @ R @ G.T).diagonal()
-        np.testing.assert_allclose(diag, 1.0, atol=1e-10)
+        for cap in (1, 5, GROUP_CAP):
+            G = fsai_build(schur.block, rows, cap)
+            diag = (G @ R @ G.T).diagonal()
+            np.testing.assert_allclose(diag, 1.0, atol=1e-10)
+            # every grouped row keeps its geometric row; one-member groups keep it exactly
+            for i, J in enumerate(rows):
+                got = G[i].indices
+                assert np.isin(J, got).all() and got[-1] == i
+                assert cap > 1 or np.array_equal(got, J)
+            assert (G.nnz > sum(len(J) for J in rows)) == (cap > 1)
 
     def test_rows_equal_normalized_block_solve(self):
-        # c^{-T} e (B = c c^T) is the normalized solve B^{-1} e / sqrt(e^T B^{-1} e)
+        # c^{-T} e (B = c c^T) is the normalized solve B^{-1} e / sqrt(e^T B^{-1} e);
+        # a group member's row is that solve on its own, grouped, row set
         rng = np.random.default_rng(43)
         n = 60
         Q = rng.standard_normal((n, n))
         A = Q @ Q.T / n + 0.1 * np.eye(n)
         rows = [np.sort(np.append(rng.choice(i, min(i, rng.integers(0, 30)), replace=False), i))
                 for i in range(n)]
-        G = fsai_build(lambda J: A[np.ix_(J, J)], rows)
+        for cap in (1, 8, GROUP_CAP):
+            G = fsai_build(lambda J: A[np.ix_(J, J)], rows, cap)
+            for i, J in enumerate(rows):
+                Ji = G[i].indices
+                assert np.isin(J, Ji).all() and Ji[-1] == i and np.all(np.diff(Ji) > 0)
+                e = np.zeros(len(Ji))
+                e[-1] = 1.0
+                g = cho_solve(cho_factor(A[np.ix_(Ji, Ji)], lower=True), e)
+                want = g / np.sqrt(g[-1])
+                got = G[i, Ji].toarray().ravel()
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_one_member_groups_bitwise_per_row(self):
+        # the random pattern's one-member groups give the per-row formula's bits
+        X = generate_gaussian_cloud(300, 3, 53)
+        cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.004)
+        S, T = split(X, 60, 54)
+        schur = SchurComplement(S, T, cfg)
+        rows = random_pattern(T.n, 55)
+        assert all(np.array_equal(U, J) and list(pos) == [len(J) - 1]
+                   for (U, pos), J in zip(fsai_groups(rows, 1), rows))
+        G = fsai_build(schur.block, rows)
         for i, J in enumerate(rows):
+            c = cholesky(schur.block(J).T, lower=True, overwrite_a=True, check_finite=False)
             e = np.zeros(len(J))
             e[-1] = 1.0
-            g = cho_solve(cho_factor(A[np.ix_(J, J)], lower=True), e)
-            want = g / np.sqrt(g[-1])
-            got = G[i, J].toarray().ravel()
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            g = solve_triangular(c, e, lower=True, trans="T", check_finite=False)
+            lo, hi = G.indptr[i], G.indptr[i + 1]
+            np.testing.assert_array_equal(G.indices[lo:hi], J)
+            np.testing.assert_array_equal(bits(G.data[lo:hi]), bits(g))
+
+    @pytest.mark.parametrize("cap", [1, 3, GROUP_CAP])
+    def test_groups_partition_the_rows(self, cap):
+        X = generate_gaussian_cloud(400, 3, 56)
+        _, T = split(X, 80, 57)
+        rows = geometric_pattern(T, 2 * bandwidth_percentile(X, 2))
+        groups = fsai_groups(rows, cap)
+        members = np.concatenate([U[pos] for U, pos in groups])
+        np.testing.assert_array_equal(np.sort(members), np.arange(T.n))   # each row once
+        leaders = [U[-1] for U, _ in groups]
+        assert leaders == sorted(leaders)
+        for U, pos in groups:
+            assert 1 <= len(pos) <= cap and np.all(np.diff(pos) > 0)
+            assert U[pos[-1]] == U[-1]   # the leader is the last member and U's last entry
+            np.testing.assert_array_equal(U, np.unique(np.concatenate([rows[k] for k in U[pos]])))
+            for p in pos:
+                assert np.isin(rows[U[p]], U[: p + 1]).all()
+        assert (len(groups) < T.n) == (cap > 1)
+
+    def test_grouped_flops_a_quarter_of_per_row(self):
+        # precond-dense's pattern (covfield precond --data <gen n=1000 d=8 seed 42>
+        # --standardize --seed 42): one Cholesky per group costs sum |U|^3 / 3
+        # against sum m^3 / 3 for one per row
+        X = standardize(generate_gaussian_cloud(1000, 8, 42))
+        sigma = bandwidth_percentile(X, 2)
+        _, T = split(X, 200, 43)
+        rows = geometric_pattern(T, 2 * sigma)
+        per_row = sum(len(J) ** 3 for J in rows) / 3
+        grouped = sum(len(U) ** 3 for U, _ in fsai_groups(rows, GROUP_CAP)) / 3
+        assert grouped <= per_row / 4
 
     def test_jitter_ladder_row(self):
         # the rank-one block fails the plain factorization; the first jitter
@@ -189,6 +252,15 @@ class TestFsai:
         rows = [np.arange(i + 1) for i in range(4)]
         with pytest.raises(IllConditionedKernelError, match="FSAI row 2"):
             fsai_build(block, rows)
+
+    @pytest.mark.parametrize("cap, named", [(1, 2), (2, 3)])
+    def test_non_spd_group_names_its_leader(self, cap, named):
+        # every block holding row 2 is negative definite; in pairs, row 2's
+        # group is led by row 3 (rows 4 and 5, whose block also holds 2, come later)
+        block = lambda J: -np.eye(len(J)) if 2 in J else np.eye(len(J))  # noqa: E731
+        rows = [np.arange(i + 1) for i in range(6)]
+        with pytest.raises(IllConditionedKernelError, match=f"FSAI row {named}:"):
+            fsai_build(block, rows, cap)
 
     def test_bad_pattern_rejected(self):
         block = lambda J: np.eye(len(J))  # noqa: E731
@@ -239,6 +311,17 @@ class TestAfn:
         for extra in ({"r": 20}, {"GT": P.GT}):
             with pytest.raises(TypeError):
                 AfnPreconditioner(P.perm, P.L, P.W, P.G, P.jitter_used, **extra)
+
+    def test_geometric_factor_is_grouped(self):
+        X = generate_gaussian_cloud(200, 3, 58)
+        cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.004)
+        P = afn_build(X, cfg, r=40, delta=2 * cfg.sigma, seed=59)
+        S, T = split(X, 40, 59)
+        schur = SchurComplement(S, T, cfg)
+        want = fsai_build(schur.block, geometric_pattern(T, 2 * cfg.sigma), GROUP_CAP)
+        np.testing.assert_array_equal(P.G.indptr, want.indptr)
+        np.testing.assert_array_equal(P.G.indices, want.indices)
+        np.testing.assert_array_equal(bits(P.G.data), bits(want.data))
 
     def test_stored_transpose_bitwise(self):
         # apply_inverse multiplies by the stored CSR transpose in place of G.T
@@ -310,7 +393,7 @@ class TestAfn:
         import covfield.precond as precond_mod
 
         def no_work(*args, **kwargs):
-            raise AssertionError("Schur work before the arguments were checked")
+            raise AssertionError("kernel work before the arguments were checked")
 
         X = generate_gaussian_cloud(20, 2, 22)
         cfg = KernelConfig(sigma=0.5)
@@ -318,6 +401,8 @@ class TestAfn:
         with pytest.raises(ValueError):
             afn_build(X, cfg, **{"r": 5, **bad})
         if "pattern" not in bad:
+            # run_methods checks before it forms the system and its reference
+            monkeypatch.setattr(precond_mod, "kernel_matrix", no_work)
             with pytest.raises(ValueError):
                 run_methods(X, cfg, **{"r": 5, **bad})
 
