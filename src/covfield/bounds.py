@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .geometry import PointSet, as_point, sq_dists
+from .geometry import PointSet, _sq_dists, as_point, sq_dists
 from .kernel import _pair_kernel, kernel_matrix
 from .posterior import PosteriorModel
 
@@ -115,8 +114,9 @@ def _curve_table(model: PosteriorModel, y_star, grid: PointSet, condition: int, 
     curves = []
     for kind in kinds:
         if kind == "distance":
-            # the distances dist_to_set takes the min of, one grid point per row
-            curve = cdist(grid.coords, model.S.coords).min(axis=1)
+            # dist_to_set per grid point; the root is monotone, so the root
+            # of the least squared distance is the least distance
+            curve = np.sqrt(_sq_dists(grid.coords, model.S.coords).min(axis=1))
         else:
             curve = kern + tail if kind == "upper" else kern - tail
         curve_max = float(np.abs(curve[mask]).max())

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDataError, UnsupportedDimensionError
-from .geometry import PointSet, _distances, as_point, dist_to_set
+from .geometry import PointSet, _distances, _sq_dists, as_point, dist_to_set
 from .kernel import KernelConfig, _check_sigma, kernel_matrix
 from .posterior import PosteriorModel
 
@@ -70,7 +69,7 @@ def estimator_field(X: PointSet, S: PointSet, sigma: float) -> np.ndarray:
     otherwise.  The grid form of ``field_estimator_small``/``_large``; its
     products are taken in another order, so the last bits may differ."""
     _check_sigma(sigma)
-    D = cdist(X.coords, S.coords)
+    D = np.sqrt(_sq_dists(X.coords, S.coords))
     near = D.min(axis=1) / sigma
     if sigma < FIELD_REGIME_CUT:
         return np.sqrt(np.outer(near, near)) * kernel_matrix(X, X, KernelConfig(sigma=sigma))

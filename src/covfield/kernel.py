@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .geometry import PointSet, as_point
+from .geometry import PointSet, _sq_dists, as_point
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,17 @@ def _pair_kernel(pu: np.ndarray, pv: np.ndarray, cfg: KernelConfig) -> float:
     return cfg.beta * math.exp(-sq / (2.0 * cfg.sigma**2))
 
 
-def _kernel_row(sq: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Kernel values for the squared distances ``sq`` from one point to the
-    rows of an array, as ``geometry.sq_dists`` forms them; the row then
-    equals the matching column of ``kernel_matrix`` bit for bit."""
-    return cfg.beta * np.exp(-sq / (2.0 * cfg.sigma**2))
+def _kernel_row(sq: np.ndarray, cfg: KernelConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel values beta * exp(-sq / (2 sigma^2)) for the squared distances
+    ``sq``, value for value, into ``out`` (a new array by default; ``sq``
+    itself for in place).  For the squared distances from one point to the
+    rows of an array, as ``geometry.sq_dists`` forms them, the row equals
+    the matching column of ``kernel_matrix`` bit for bit."""
+    out = np.negative(sq, out=out)
+    out /= 2.0 * cfg.sigma**2
+    np.exp(out, out=out)
+    out *= cfg.beta
+    return out
 
 
 def kernel_matrix(U: PointSet, V: PointSet, cfg: KernelConfig) -> np.ndarray:
@@ -62,18 +67,13 @@ def kernel_matrix(U: PointSet, V: PointSet, cfg: KernelConfig) -> np.ndarray:
 
     Squared distances are formed per entry from coordinate differences (no
     norm expansion), so the diagonal of ``kernel_matrix(X, X, cfg)`` is exactly
-    ``beta`` and the matrix is exactly symmetric.
+    ``beta`` and the matrix is exactly symmetric; for U is V each pair is
+    formed once (``geometry._sq_dists``).
     """
     if U.d != V.d:
         raise ValueError(f"dimension mismatch: {U.d} vs {V.d}")
-    # in place, so the only n x m buffer is cdist's; the arithmetic is that of
-    # beta * exp(-sq / (2 sigma^2)), value for value
-    out = cdist(U.coords, V.coords, "sqeuclidean")
-    np.negative(out, out=out)
-    out /= 2.0 * cfg.sigma**2
-    np.exp(out, out=out)
-    out *= cfg.beta
-    return out
+    sq = _sq_dists(U.coords, V.coords)
+    return _kernel_row(sq, cfg, out=sq)
 
 
 def lipschitz_bound(cfg: KernelConfig) -> float:

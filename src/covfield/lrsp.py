@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import PointSet, distance_matrix, row_blocks
-from .kernel import KernelConfig, kernel_matrix
+from .geometry import SQ_BLOCK, PointSet, _sq_dists, distance_matrix, row_blocks
+from .kernel import KernelConfig, _kernel_row, kernel_matrix
 from .posterior import fit
 
 
@@ -100,27 +100,27 @@ def lrsp_dense(factor: NystromFactor, correction: sp.csr_matrix) -> np.ndarray:
     return lowrank_dense(factor) + correction.toarray()
 
 
-def _error_sweep(X: PointSet, cfg: KernelConfig, v: np.ndarray, steps: int, update):
+def _error_sweep(X: PointSet, v: np.ndarray, steps: int, update):
     """(max_ij |E_ij|, ||E v|| / ||v||) of the error matrix E after each of
     ``steps`` steps, in one pass over ``geometry.row_blocks``.
 
-    Each block's E starts as its rows of K; the generator ``update(rows, E)``
-    changes E in place and yields once per step, and the block then folds
-    into that step's norms.  The max is read as max(E.max(), -E.min()),
-    bitwise equal to ``np.abs(E).max()`` without its temporary, and the rows
-    of E v fill one vector per step, so both norms are those of the whole E.
-    Memory stays at a few blocks of rows.
+    Each block's squared distances (``geometry._sq_dists``, one pass) go to
+    the generator ``update(rows, sq)``, which forms the block's rows of E
+    from them, changes E in place and yields it once per step; the block
+    then folds into that step's norms.  The max is read as
+    max(E.max(), -E.min()), bitwise equal to ``np.abs(E).max()`` without its
+    temporary, and the rows of E v fill one vector per step, so both norms
+    are those of the whole E.  Memory stays at a few blocks of rows.
     """
     top = np.full(steps, -np.inf)
     bottom = np.full(steps, np.inf)
     Ev = np.empty((steps, len(v)))
     for rows in row_blocks(X.n):
-        E = kernel_matrix(PointSet(X.coords[rows]), X, cfg)
-        for step, _ in enumerate(update(rows, E)):
+        for step, E in enumerate(update(rows, _sq_dists(X.coords[rows], X.coords))):
             top[step] = np.maximum(top[step], E.max())
             bottom[step] = np.minimum(bottom[step], E.min())
             Ev[step, rows] = E @ v
-        del E   # free this block before the next one's rows are formed
+        E = None   # free this block before the next one's rows are formed
     nv = np.linalg.norm(v)
     return [(float(max(t, -b)), float(np.linalg.norm(e) / nv)) for t, b, e in zip(top, bottom, Ev)]
 
@@ -144,13 +144,14 @@ def lowrank_sweep(
     if todo and not 1 <= todo[0] <= todo[-1] <= factor.rank:
         raise ValueError(f"ranks must lie in [1, {factor.rank}], got {todo[0]}..{todo[-1]}")
 
-    def downdates(rows, E):
+    def downdates(rows, sq):
+        E = _kernel_row(sq, cfg, out=sq)   # kernel_matrix's bits for these rows
         for a, k in zip([0] + todo, todo):
             B = factor.W[a:k]
             E -= B[:, rows].T @ B
-            yield
+            yield E
 
-    return dict(zip(todo, _error_sweep(X, cfg, v, len(todo), downdates)))
+    return dict(zip(todo, _error_sweep(X, v, len(todo), downdates)))
 
 
 def lrsp_sweep(
@@ -164,8 +165,11 @@ def lrsp_sweep(
     itself there, so the error is R0 with the pattern zeroed.  D is
     ``geometry.distance_matrix``, so each mask is ``pattern_by_radius``'s and
     nnz counts its pairs.  The radii must not decrease: the patterns then
-    nest, and one ``_error_sweep`` forms each block's rows of R0 and D and
-    zeroes each mask in place on top of the last.
+    nest, and one ``_error_sweep`` forms each block's rows of R0 and D from
+    one squared-distance pass and zeroes each mask in place on top of the
+    last.  R0 = K - W_0^T W_0 is formed in the product's buffer, a few rows
+    of K at a time, and the squared distances then become D in place, so a
+    block holds two n-wide arrays at a time, not three.
     """
     radii = np.asarray(radii, dtype=float)
     if not np.all(radii >= 0):
@@ -175,16 +179,20 @@ def lrsp_sweep(
     W = factor.W
     nnz = [0] * len(radii)
 
-    def masks(rows, E):
-        E -= W[:, rows].T @ W
-        D = distance_matrix(X, rows)
+    def masks(rows, sq):
+        E = W[:, rows].T @ W
+        K = np.empty((SQ_BLOCK, X.n))
+        for a in range(0, len(E), SQ_BLOCK):
+            part = E[a: a + SQ_BLOCK]
+            np.subtract(_kernel_row(sq[a: a + SQ_BLOCK], cfg, K[: len(part)]), part, out=part)
+        D = np.sqrt(sq, out=sq)
         for step, delta in enumerate(radii):
             mask = D <= delta
             nnz[step] += int(np.count_nonzero(mask))
             np.copyto(E, 0.0, where=mask)
-            yield
+            yield E
 
-    return [(z, *norms) for z, norms in zip(nnz, _error_sweep(X, cfg, v, len(radii), masks))]
+    return [(z, *norms) for z, norms in zip(nnz, _error_sweep(X, v, len(radii), masks))]
 
 
 def cost_equivalent_rank(r0: float, N: float, nnz: float) -> float:

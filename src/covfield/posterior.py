@@ -29,10 +29,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrs
-from scipy.spatial.distance import cdist
 
 from .errors import IllConditionedKernelError, NumericalConsistencyError
-from .geometry import _MEMO_SIZE, PointSet, _distances
+from .geometry import _MEMO_SIZE, PointSet, _distances, _sq_dists
 from .kernel import KernelConfig, _kernel_row, _pair_kernel, kernel_matrix
 
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
@@ -198,6 +197,6 @@ def max_cross_weight_norm(model: PosteriorModel, grid: PointSet, p=2) -> float:
     W = cho_solve((model.chol, True), K)
     if model._exact_at_obs:
         # a grid point at squared distance 0 from an observation takes its basis vector
-        at = cdist(model.S.coords, grid.coords, "sqeuclidean") == 0.0
+        at = _sq_dists(model.S.coords, grid.coords) == 0.0
         W = np.where(at.any(axis=0), at, W)
     return float(np.max(np.linalg.norm(W, ord=p, axis=0)))

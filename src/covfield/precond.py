@@ -30,10 +30,9 @@ import scipy.sparse as sp
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dtrtrs
-from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import DivergenceError, IllConditionedKernelError
-from .geometry import PointSet, distance_matrix, row_blocks
+from .geometry import PointSet, _sq_dists, row_blocks
 from .kernel import KernelConfig, kernel_matrix
 from .posterior import JITTER_LADDER, fit
 
@@ -75,14 +74,16 @@ class SchurComplement:
 def geometric_pattern(T: PointSet, delta: float) -> list[np.ndarray]:
     """Per-row sorted column sets {j <= i : ||t_i - t_j|| <= delta}; the
     diagonal is always present.  Thresholds the lower triangle of
-    ``distance_matrix(T)`` one ``geometry.row_blocks`` block at a time, so
+    ``distance_matrix(T)`` one ``geometry.row_blocks`` block at a time,
+    forming each block's distances to the columns before its end only, so
     memory stays at one block; the rows of a block are views of one index
     array."""
     if not delta >= 0:
         raise ValueError("delta must be a nonnegative number")
     rows: list[np.ndarray] = []
     for block in row_blocks(T.n):
-        r, c = np.nonzero(distance_matrix(T, block) <= delta)
+        D = np.sqrt(_sq_dists(T.coords[block], T.coords[: block.stop]))
+        r, c = np.nonzero(D <= delta)
         lower = c <= r + block.start
         counts = np.bincount(r[lower], minlength=block.stop - block.start)
         rows += np.split(c[lower], np.cumsum(counts)[:-1])
@@ -253,7 +254,9 @@ class AfnPreconditioner:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """M v (sparse triangular solves with G; used to verify the inverse
-        pair, not on the iteration path)."""
+        pair, not on the iteration path, so its solver is imported here)."""
+        from scipy.sparse.linalg import spsolve_triangular
+
         v = np.asarray(v, dtype=float)
         vp = v[self.perm]
         xS, xT = vp[: self.r], vp[self.r:]
@@ -303,14 +306,16 @@ def _afn_builds(X: PointSet, cfg: KernelConfig, r: int, patterns, delta, seed: i
     def builds():
         perm = np.random.default_rng(seed).permutation(X.n)
         schur = SchurComplement(PointSet(X.coords[perm[:r]]), PointSet(X.coords[perm[r:]]), cfg)
-        for name in patterns:
+        L, W, jitter = schur.L, schur.W, schur.jitter_used
+        for i, name in enumerate(patterns, 1):
             # each pattern is a temporary of its draw, freed once its FSAI factor
-            # is built; the factor is not bound here, so it dies with its draw
-            yield AfnPreconditioner(
-                perm, schur.L, schur.W,
-                fsai_build(schur.block, geometric_pattern(schur.T, delta), GROUP_CAP)
-                if name == "geometric" else fsai_build(schur.block, random_pattern(schur.T.n, seed + 1)),
-                schur.jitter_used)
+            # is built
+            G = (fsai_build(schur.block, geometric_pattern(schur.T, delta), GROUP_CAP)
+                 if name == "geometric" else fsai_build(schur.block, random_pattern(schur.T.n, seed + 1)))
+            if i == len(patterns):
+                del schur   # R, n_T^2 doubles, is read by no later draw
+            yield AfnPreconditioner(perm, L, W, G, jitter)
+            del G   # the factor dies with its draw, before the next is built
     return builds()
 
 

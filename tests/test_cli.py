@@ -1,6 +1,10 @@
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,3 +563,26 @@ class TestPrecondCommand:
         assert err.startswith("error: reference Cholesky failed")
         assert "600 x 600" in err and "tau = 0" in err
         assert not out.exists()
+
+
+# a fresh interpreter: import the package and the CLI, run a small precond and
+# a small lrsp, and print which of the named scipy modules got loaded
+_IMPORT_PROBE = """
+import sys
+import covfield, covfield.cli
+out = sys.argv[1]
+assert covfield.cli.run(["precond", "--n", "120", "--seed", "3", "--out", out + "/p.csv"]) == 0
+assert covfield.cli.run(["lrsp", "--n", "120", "--r0", "10", "--rank-sweep", "10:30:10",
+                         "--delta-sweep", "1:3:1", "--out", out + "/l.csv"]) == 0
+print(sorted(m for m in ("scipy.spatial", "scipy.sparse.linalg") if m in sys.modules))
+"""
+
+
+def test_cli_runs_load_neither_scipy_spatial_nor_sparse_linalg(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

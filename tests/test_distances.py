@@ -1,9 +1,11 @@
 """One squared-distance primitive behind every distance to a point set.
 
-``geometry.sq_dists`` accumulates coordinate columns in ``cdist``'s order.
-For d <= 7 numpy reduces a row's squares in the same sequence, so every
-pointwise quantity below must equal its former numpy formula bit for bit;
-those formulas are written out here.
+``geometry.sq_dists`` (one point) and ``geometry._sq_dists`` (the rows of
+two arrays) accumulate coordinate columns in ``cdist``'s order; scipy's
+``cdist`` and ``pdist`` are kept here as test oracles only.  For d <= 7
+numpy reduces a row's squares in the same sequence, so every pointwise
+quantity below must equal its former numpy formula bit for bit; those
+formulas are written out here.
 """
 
 import math
@@ -11,11 +13,13 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrs
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from covfield import (
+    DegenerateDataError,
     KernelConfig,
     PointSet,
+    bandwidth_percentile,
     dist_metrics,
     dist_to_set,
     field_estimator_large,
@@ -30,6 +34,7 @@ from covfield import (
     variance_estimator_small,
 )
 from covfield.estimators import ReferencePointSet
+from covfield.geometry import SQ_BLOCK
 
 from conftest import memo_pairs
 
@@ -99,6 +104,54 @@ class TestSqDists:
         sq = geometry.sq_dists(np.zeros(2), S.coords)
         assert sq[1] < sq[0] and math.sqrt(sq[1]) == math.sqrt(sq[0])
         assert dist_to_set((0.0, 0.0), S) == (math.sqrt(sq[0]), 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 13])
+@pytest.mark.parametrize("n", [1, SQ_BLOCK - 1, SQ_BLOCK, SQ_BLOCK + 1, 257])
+class TestBlockedPrimitive:
+    def test_bitwise_equal_to_cdist(self, d, n):
+        A, B = cloud(d, n, n + d), cloud(d, 45, 300 + d)
+        for U, V in ((A, B), (B, A), (A, A.copy())):
+            sq = geometry._sq_dists(U, V)
+            assert bits(sq) == bits(cdist(U, V, "sqeuclidean"))
+            assert bits(np.sqrt(sq)) == bits(cdist(U, V))
+
+    def test_same_set_exactly_symmetric_with_zero_diagonal(self, d, n):
+        A = cloud(d, n, 2 * n + d)
+        sq = geometry._sq_dists(A, A)
+        assert bits(sq) == bits(cdist(A, A, "sqeuclidean"))
+        assert bits(sq) == bits(sq.T)
+        assert not sq.diagonal().any()
+
+    def test_bandwidth_is_the_pdist_nearest_rank(self, d, n):
+        X = PointSet(cloud(d, max(n, 2), 3 * n + d))
+        dists = np.sort(pdist(X.coords))
+        for q in (1e-9, 2.0, 37.5, 99.999):
+            rank = min(max(int(np.ceil(q / 100.0 * dists.size)), 1), dists.size)
+            assert bits(bandwidth_percentile(X, q)) == bits(dists[rank - 1])
+
+
+class TestBlockedPrimitiveEdges:
+    def test_duplicate_points_at_the_selected_rank(self):
+        # one duplicated pair in 80 points: its zero is the smallest pairwise
+        # distance, so rank 1 is degenerate and rank 2 on is not
+        coords = cloud(3, 80, 5)
+        coords[70] = coords[3]
+        X = PointSet(coords)
+        dists = np.sort(pdist(coords))
+        assert dists[0] == 0.0 < dists[1]
+        with pytest.raises(DegenerateDataError):
+            bandwidth_percentile(X, 1e-9)
+        q = 100.0 * 2 / dists.size
+        assert bits(bandwidth_percentile(X, q)) == bits(dists[1])
+
+    def test_ufunc_buffer_size_restored(self):
+        before = np.getbufsize()
+        geometry._sq_dists(cloud(2, 70, 6), cloud(2, 9, 7))
+        assert np.getbufsize() == before
+        with pytest.raises(IndexError):   # a column count that cannot broadcast
+            geometry._sq_dists(cloud(3, 70, 6), cloud(2, 9, 7))
+        assert np.getbufsize() == before
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 7])

@@ -286,6 +286,7 @@ class TestSweeps:
     def test_lowrank_sweep_rank_range(self, sweep_case, monkeypatch):
         X, cfg, full, v = sweep_case
         monkeypatch.setattr(lrsp_module, "kernel_matrix", _no_work)
+        monkeypatch.setattr(lrsp_module, "_sq_dists", _no_work)
         for ranks in ([0, 10], [10, full.rank + 1]):
             with pytest.raises(ValueError):
                 lowrank_sweep(X, cfg, full, ranks, v)
@@ -328,6 +329,7 @@ class TestSweeps:
         factor = nystrom_build(X, np.arange(3), cfg)
         monkeypatch.setattr(lrsp_module, "kernel_matrix", _no_work)
         monkeypatch.setattr(lrsp_module, "distance_matrix", _no_work)
+        monkeypatch.setattr(lrsp_module, "_sq_dists", _no_work)
         with pytest.raises(ValueError):
             lrsp_sweep(X, cfg, factor, radii, np.ones(X.n))
 

@@ -1,12 +1,15 @@
 import dataclasses
+import gc
 import math
 import re
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.spatial.distance import cdist
 
 from covfield import (
     AfnPreconditioner,
@@ -113,6 +116,23 @@ class TestPatterns:
         rows = geometric_pattern(T, 2 * sigma)
         frac = sum(len(J) for J in rows) / T.n**2
         assert 0.05 <= frac <= 0.09  # expected around 7 % on this instance class
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_prefix_columns_keep_the_full_row_pattern(self, d):
+        # the precond shapes: the defaults and a standardized d = 8 cloud, with
+        # the CLI's split; each row thresholded over the whole of T (cdist as
+        # the oracle) keeps the same columns j <= i
+        for seed in [*range(1, 11), 42]:
+            X = generate_gaussian_cloud(1000, d, seed)
+            X = standardize(X) if d == 8 else X
+            delta = 2 * bandwidth_percentile(X, 2)
+            _, T = split(X, 200, seed + 1)
+            D = cdist(T.coords, T.coords)
+            rows = geometric_pattern(T, delta)
+            assert len(rows) == T.n
+            for i, J in enumerate(rows):
+                assert np.array_equal(J, np.flatnonzero(D[i] <= delta)[: len(J)])
+                assert np.array_equal(J, np.flatnonzero(D[i, : i + 1] <= delta))
 
     def test_random_rows_capped(self):
         rows = random_pattern(200, seed=0)
@@ -612,6 +632,28 @@ class TestMethodOrdering:
         )
         _, _, hist2 = pcg(A, b, P2.apply_inverse, max_iter=by[3]["iterations"])
         assert hist2[-1] >= by[3]["residual"] - 1e-12
+
+    def test_schur_complement_freed_after_the_last_build(self, monkeypatch):
+        import covfield.precond as precond_mod
+
+        refs = []
+
+        class Tracked(SchurComplement):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(precond_mod, "SchurComplement", Tracked)
+        X = generate_gaussian_cloud(200, 2, 34)
+        cfg = KernelConfig(sigma=bandwidth_percentile(X, 5), tau=0.004)
+        builds = precond_mod._afn_builds(X, cfg, 40, ["random", "geometric"], None, 35)
+        first = next(builds)
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is not None   # the next draw reads R
+        last = next(builds)
+        gc.collect()
+        assert refs[0]() is None   # R is not kept through the last method's solve
+        assert last.L is first.L and last.W is first.W
 
     def test_one_landmark_factor_for_both_patterns(self, monkeypatch):
         import covfield.precond as precond_mod
