@@ -187,9 +187,11 @@ def lrsp_sweep(
             np.subtract(_kernel_row(sq[a: a + SQ_BLOCK], cfg, K[: len(part)]), part, out=part)
         D = np.sqrt(sq, out=sq)
         for step, delta in enumerate(radii):
-            mask = D <= delta
-            nnz[step] += int(np.count_nonzero(mask))
-            np.copyto(E, 0.0, where=mask)
+            # branch-free zeroing; + 0.0 turns the -0.0 of a dropped E < 0 into +0.0
+            keep = D > delta
+            nnz[step] += keep.size - int(np.count_nonzero(keep))
+            E *= keep
+            E += 0.0
             yield E
 
     return [(z, *norms) for z, norms in zip(nnz, _error_sweep(X, v, len(radii), masks))]

@@ -11,7 +11,8 @@ inverse G^T G with G lower triangular on a chosen pattern:
         [ K_TS L^{-T}    G^{-1} ] [ 0    G^{-T}      ]
 
 Applying M^{-1} needs two triangular solves with L and two sparse matvecs
-with G; M itself is only ever applied in tests.
+with G; ``run_methods`` eliminates the landmark block exactly instead and
+runs PCG on the Schur system with G^T G.  M is only ever applied in tests.
 
 Patterns: ``geometric_pattern`` keeps pairs within a distance threshold
 (where the field analysis predicts the dominant Schur entries in the
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve
 from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf as cholesky, dtrtrs   # perfbench times "precond.cholesky"
 
 from .errors import DivergenceError, IllConditionedKernelError
 from .geometry import PointSet, _sq_dists, row_blocks
@@ -181,24 +182,24 @@ def _group_columns(block_fn, U: np.ndarray, pos: np.ndarray) -> np.ndarray:
             # the failed attempt may have overwritten B
             B = block_fn(U)
             B[np.diag_indices(m)] += j * scale
-        try:
-            # B^T is B read in Fortran order, which LAPACK factors in place
-            c = cholesky(B.T, lower=True, overwrite_a=True, check_finite=False)
+        # B^T is B in Fortran order, factored in place; trtrs reads only its lower triangle
+        c, info = cholesky(B.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
             break
-        except np.linalg.LinAlgError:
-            pass
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
     else:
         raise IllConditionedKernelError(f"FSAI row {U[-1]}: local block not SPD after jitter")
     E = np.zeros((m, len(pos)), order="F")
     E[pos, np.arange(len(pos))] = 1.0
-    return solve_triangular(c, E, lower=True, trans="T", overwrite_b=True, check_finite=False)
+    return _trtrs(c, E, trans=1, lower=1)
 
 
-def _trtrs(UT: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    """Solve with the upper triangular Fortran array UT (or its transpose,
-    ``trans=1``) in place of the fresh vector b; errors as in
-    ``solve_triangular``."""
-    x, info = dtrtrs(UT, b, lower=0, trans=trans, overwrite_b=1)
+def _trtrs(F: np.ndarray, b: np.ndarray, trans: int, lower: int = 0) -> np.ndarray:
+    """Solve with the triangular Fortran array F (upper unless ``lower=1``;
+    its transpose when ``trans=1``) in place of the fresh Fortran array b;
+    errors as in ``solve_triangular``."""
+    x, info = dtrtrs(F, b, lower=lower, trans=trans, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -288,13 +289,14 @@ def afn_build(
     A bad r, pattern or delta (checked with either pattern) raises
     ValueError before any kernel work.
     """
-    return next(_afn_builds(X, cfg, r, [pattern], delta, seed))
+    return next(_afn_builds(X, cfg, r, [pattern], delta, seed))[0]
 
 
 def _afn_builds(X: PointSet, cfg: KernelConfig, r: int, patterns, delta, seed: int):
-    """One AFN preconditioner per name in ``patterns``, each built as it is
-    drawn.  r, every name and delta are checked at the call; the landmark
-    split and its Schur complement are formed once, at the first draw."""
+    """One (AFN preconditioner, shared Schur complement) pair per name in
+    ``patterns``, each factor built as it is drawn.  r, every name and delta
+    are checked at the call; the split and its Schur complement are formed
+    at the first draw and held until the generator is dropped."""
     if not 1 <= r < X.n:
         raise ValueError(f"need 1 <= r < n, got r={r}, n={X.n}")
     if any(name not in ("geometric", "random") for name in patterns):
@@ -306,17 +308,33 @@ def _afn_builds(X: PointSet, cfg: KernelConfig, r: int, patterns, delta, seed: i
     def builds():
         perm = np.random.default_rng(seed).permutation(X.n)
         schur = SchurComplement(PointSet(X.coords[perm[:r]]), PointSet(X.coords[perm[r:]]), cfg)
-        L, W, jitter = schur.L, schur.W, schur.jitter_used
-        for i, name in enumerate(patterns, 1):
+        for name in patterns:
             # each pattern is a temporary of its draw, freed once its FSAI factor
             # is built
             G = (fsai_build(schur.block, geometric_pattern(schur.T, delta), GROUP_CAP)
                  if name == "geometric" else fsai_build(schur.block, random_pattern(schur.T.n, seed + 1)))
-            if i == len(patterns):
-                del schur   # R, n_T^2 doubles, is read by no later draw
-            yield AfnPreconditioner(perm, L, W, G, jitter)
+            yield AfnPreconditioner(perm, schur.L, schur.W, G, schur.jitter_used), schur
             del G   # the factor dies with its draw, before the next is built
     return builds()
+
+
+def _schur_solve(P: AfnPreconditioner, schur: SchurComplement, b, tol_abs, max_iter):
+    """(x, iterations) for (K_XX + tau^2 I) x = b with the landmark block
+    eliminated exactly: yS = L^{-1} bS, PCG with G^T G on C xT = bT - W^T yS
+    for C = R + tau^2 I, and xS = L^{-T} (yS - W xT).  M^{-1} A is similar to
+    diag(I, G^T G C), so this is ``pcg(A, b, P.apply_inverse)`` with steps
+    that read R's triangle and G twice, not A's triangle and W and G twice
+    each.  Exact when the landmark factor carries no jitter."""
+    S, T = P.perm[: P.r], P.perm[P.r:]
+    yS = _trtrs(P.L.T, b[S], trans=1)
+    # R's lower triangle is the upper one of R^T; beta * y adds tau^2 v, R stays noise-free
+    RF, tau2 = schur.R.T, schur.cfg.tau**2
+    xT, iters, _ = pcg(lambda v: dsymv(1.0, RF, v, beta=tau2, y=v, lower=0), b[T] - P.W.T @ yS,
+                       lambda v: P.GT @ (P.G @ v), tol_abs=tol_abs, max_iter=max_iter)
+    x = np.empty_like(b)
+    x[S] = _trtrs(P.L.T, yS - P.W @ xT, trans=0)
+    x[T] = xT
+    return x, iters
 
 
 def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int = 1000):
@@ -423,12 +441,16 @@ def run_methods(
     comes from a dense Cholesky solve, which raises
     ``IllConditionedKernelError`` before any PCG when the system is not
     numerically positive definite.  ``delta`` is the geometric pattern's
-    threshold, 2 sigma when None; r, delta and the methods' pattern names are
-    checked before any kernel work.  Returns one dict per method with keys
+    threshold, 2 sigma when None; the methods (each 1, 2 or 3), r and delta
+    are checked before any kernel work.  Method 1 is plain CG; methods 2 and 3
+    run ``_schur_solve`` with the random and the geometric FSAI factor.
+    Returns one dict per method with keys
     method/iterations/rel_err/residual/fsai_nnz_fraction.
     """
-    # methods 2 and 3 share one landmark split and differ only in the pattern;
-    # their arguments are checked here, the split is formed at the first draw
+    if any(m not in (1, 2, 3) for m in methods):
+        raise ValueError(f"methods must be 1, 2 or 3, got {tuple(methods)}")
+    # methods 2 and 3 share one landmark split and its Schur complement, formed
+    # at the first draw and freed on return; their arguments are checked here
     patterns = ["geometric" if m == 3 else "random" for m in methods if m != 1]
     builds = _afn_builds(X, cfg, r, patterns, delta, seed) if patterns else None
     n = X.n
@@ -450,14 +472,14 @@ def run_methods(
 
     out = []
     for method in methods:
-        # the last method's preconditioner is freed before the next is built
-        pre = None
-        nnz_frac = float("nan")
-        if method != 1:
-            P = next(builds)
-            pre, nnz_frac = P.apply_inverse, P.fsai_nnz_fraction
-            del P
-        x, iters, hist = pcg(A, b, pre, tol_abs=tol_abs, max_iter=max_iter)
+        if method == 1:
+            x, iters, _ = pcg(A, b, tol_abs=tol_abs, max_iter=max_iter)
+            nnz_frac = float("nan")
+        else:
+            P, schur = next(builds)
+            x, iters = _schur_solve(P, schur, b, tol_abs, max_iter)
+            nnz_frac = P.fsai_nnz_fraction
+            del P, schur   # the factor is freed before the next is built
         out.append({
             "method": method,
             "iterations": iters,

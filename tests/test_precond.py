@@ -408,6 +408,8 @@ class TestAfn:
     @pytest.mark.parametrize("bad", [
         dict(pattern="bogus"), dict(delta=math.nan), dict(delta=-1.0), dict(r=20),
         dict(pattern="random", delta=math.nan),   # checked even when unused
+        # run_methods only: a label outside {1, 2, 3} used to run the random pattern
+        dict(methods=(4,)), dict(methods=(0,)), dict(methods=(2.5,)), dict(methods=("3",)),
     ])
     def test_bad_arguments_fail_before_the_split(self, bad, monkeypatch):
         import covfield.precond as precond_mod
@@ -418,8 +420,9 @@ class TestAfn:
         X = generate_gaussian_cloud(20, 2, 22)
         cfg = KernelConfig(sigma=0.5)
         monkeypatch.setattr(precond_mod, "SchurComplement", no_work)
-        with pytest.raises(ValueError):
-            afn_build(X, cfg, **{"r": 5, **bad})
+        if "methods" not in bad:
+            with pytest.raises(ValueError):
+                afn_build(X, cfg, **{"r": 5, **bad})
         if "pattern" not in bad:
             # run_methods checks before it forms the system and its reference
             monkeypatch.setattr(precond_mod, "kernel_matrix", no_work)
@@ -633,27 +636,34 @@ class TestMethodOrdering:
         _, _, hist2 = pcg(A, b, P2.apply_inverse, max_iter=by[3]["iterations"])
         assert hist2[-1] >= by[3]["residual"] - 1e-12
 
-    def test_schur_complement_freed_after_the_last_build(self, monkeypatch):
+    def test_schur_complement_lives_through_the_last_solve(self, monkeypatch):
         import covfield.precond as precond_mod
 
-        refs = []
+        refs, alive = [], []
 
         class Tracked(SchurComplement):
             def __init__(self, *args):
                 super().__init__(*args)
                 refs.append(weakref.ref(self))
 
+        def watched_pcg(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            return orig_pcg(*args, **kwargs)
+
+        orig_pcg = precond_mod.pcg
         monkeypatch.setattr(precond_mod, "SchurComplement", Tracked)
+        monkeypatch.setattr(precond_mod, "pcg", watched_pcg)
         X = generate_gaussian_cloud(200, 2, 34)
         cfg = KernelConfig(sigma=bandwidth_percentile(X, 5), tau=0.004)
+        run_methods(X, cfg, r=40, seed=35)
+        # method 1 runs before the split; methods 2 and 3 iterate on R
+        assert alive == [[], [True], [True]]
+        gc.collect()
+        assert refs[0]() is None   # freed once run_methods returns
         builds = precond_mod._afn_builds(X, cfg, 40, ["random", "geometric"], None, 35)
-        first = next(builds)
-        gc.collect()
-        assert len(refs) == 1 and refs[0]() is not None   # the next draw reads R
-        last = next(builds)
-        gc.collect()
-        assert refs[0]() is None   # R is not kept through the last method's solve
-        assert last.L is first.L and last.W is first.W
+        (first, schur), (last, again) = next(builds), next(builds)
+        assert again is schur and last.L is first.L and last.W is first.W
 
     def test_one_landmark_factor_for_both_patterns(self, monkeypatch):
         import covfield.precond as precond_mod
@@ -666,13 +676,32 @@ class TestMethodOrdering:
         rows = run_methods(X, cfg, r=40, delta=2 * cfg.sigma,
                            seed=31)
         assert len(calls) == 1
-        # each shared-factor row equals a solve with its own afn_build
+        # each shared-factor row equals a Schur solve on its own build
         A = kernel_matrix(X, X, cfg) + cfg.tau**2 * np.eye(X.n)
         b = np.random.default_rng(33).standard_normal(X.n)
         b /= np.linalg.norm(b)
         for row in rows[1:]:
-            P = afn_build(X, cfg, 40, pattern="geometric" if row["method"] == 3 else "random",
-                          delta=2 * cfg.sigma, seed=31)
-            x, iters, _ = pcg(A, b, P.apply_inverse)
+            pattern = "geometric" if row["method"] == 3 else "random"
+            P, schur = next(precond_mod._afn_builds(X, cfg, 40, [pattern], 2 * cfg.sigma, 31))
+            x, iters = precond_mod._schur_solve(P, schur, b, 1e-5, 1000)
             assert iters == row["iterations"]
             assert float(np.linalg.norm(b - A @ x)) == row["residual"]
+
+    @pytest.mark.parametrize("pattern", ["geometric", "random"])
+    def test_schur_solve_matches_full_space_pcg(self, pattern):
+        # M^{-1} A is similar to diag(I, G^T G (R + tau^2 I)): on a
+        # well-conditioned cloud both solves meet the tolerance on the full
+        # system in the same number of iterations, give or take one
+        import covfield.precond as precond_mod
+
+        X = generate_gaussian_cloud(300, 3, 36)
+        cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.3)   # cond(A) about 320
+        A = kernel_matrix(X, X, cfg) + cfg.tau**2 * np.eye(X.n)
+        b = np.random.default_rng(37).standard_normal(X.n)
+        b /= np.linalg.norm(b)
+        P, schur = next(precond_mod._afn_builds(X, cfg, 60, [pattern], None, 38))
+        x_full, it_full, _ = pcg(A, b, P.apply_inverse, tol_abs=1e-8)
+        x_schur, it_schur = precond_mod._schur_solve(P, schur, b, 1e-8, 1000)
+        assert np.linalg.norm(b - A @ x_full) <= 1e-8
+        assert np.linalg.norm(b - A @ x_schur) <= 1e-8
+        assert abs(it_full - it_schur) <= 1
