@@ -31,6 +31,7 @@ from covfield import (
     run_methods,
     standardize,
 )
+import covfield.precond as precond_mod
 from covfield.posterior import JITTER_LADDER
 from covfield.precond import GROUP_CAP
 
@@ -283,9 +284,93 @@ class TestFsai:
             fsai_build(block, rows, cap)
 
     def test_bad_pattern_rejected(self):
+        # the lowest bad row is named, however many rows are bad
         block = lambda J: np.eye(len(J))  # noqa: E731
-        with pytest.raises(ValueError):
-            fsai_build(block, [np.array([0]), np.array([0])])  # missing diagonal 1
+        for rows, named in [
+            ([[0], [0]], 1),                               # missing diagonal
+            ([[0], [0, 1], [], [0]], 2),                   # an empty row, then a missing diagonal
+            ([[], [0, 1]], 0),                             # the first row empty
+            ([[0], [0, 1], []], 2),                        # the last row empty
+            ([[0], [0, 1, 3], [0, 1, 2], [4, 3]], 1),      # entries above the diagonal
+            ([[0], [2], [0, 2]], 1),                       # one entry, above the diagonal
+            ([[0], [0, 1], [1, 0, 2], [2, 1, 3]], 2),      # unsorted
+            ([[0], [0, 1], [0, 0, 2], [1, 1, 3]], 2),      # duplicate entries
+        ]:
+            pattern = [np.array(J, dtype=int) for J in rows]
+            with pytest.raises(ValueError, match=f"pattern row {named} is not sorted lower-triangular"):
+                fsai_build(block, pattern)
+
+
+def precond_shape(d, seed):
+    """The cloud and kernel of ``covfield precond --seed s``: the defaults
+    (d = 3) or the standardized d = 8 cloud of ``covfield gen``; the
+    command's landmark seed is s + 1."""
+    X = generate_gaussian_cloud(1000, d, seed)
+    X = standardize(X) if d == 8 else X
+    return X, KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.004)
+
+
+class TestGeometricFactor:
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_rule_keeps_groups_at_d3_and_takes_full_factor_at_d8(self, d):
+        # sum |U|^3 / (2 n_T^3) is 0.54-0.64 at the defaults and 3.3-4.3 on the
+        # d = 8 cloud (seeds 1-10 and 42)
+        for seed in [*range(1, 11), 42]:
+            X, cfg = precond_shape(d, seed)
+            P, schur = next(precond_mod._afn_builds(X, cfg, 200, ["geometric"], None, seed + 1))
+            nT = schur.T.n
+            if d == 3:
+                want = fsai_build(schur.block, geometric_pattern(schur.T, 2 * cfg.sigma), GROUP_CAP)
+                np.testing.assert_array_equal(P.G.indptr, want.indptr)
+                np.testing.assert_array_equal(P.G.indices, want.indices)
+                np.testing.assert_array_equal(bits(P.G.data), bits(want.data))
+            else:
+                assert P.G.nnz == nT * (nT + 1) // 2
+                assert P.fsai_nnz_fraction == (nT + 1) / (2 * nT)
+
+    def test_full_factor_is_fsai_on_the_full_pattern(self):
+        X, cfg = precond_shape(8, 42)
+        S, T = split(X, 200, 43)
+        schur = SchurComplement(S, T, cfg)
+        G = precond_mod._inverse_cholesky(schur.block, T.n)
+        assert G.format == "csr" and G.has_sorted_indices
+        # one group of n_T rows: the same factorization, n_T unit right-hand sides
+        want = fsai_build(schur.block, [np.arange(i + 1) for i in range(T.n)], T.n)
+        np.testing.assert_array_equal(G.indptr, want.indptr)
+        np.testing.assert_array_equal(G.indices, want.indices)
+        assert np.linalg.norm(G.data - want.data) <= 1e-12 * np.linalg.norm(want.data)
+        # the inverse Cholesky factor: G B G^T = I to rounding
+        G = G.toarray()
+        B = schur.block(np.arange(T.n))
+        np.testing.assert_allclose(G @ B @ G.T, np.eye(T.n), rtol=0, atol=1e-12)
+
+    def test_full_factor_jitter_ladder(self):
+        # the rank-one block fails the plain factorization; the first jitter
+        # step that factors gives the inverse factor of the jittered block
+        B = np.ones((3, 3))
+        G = precond_mod._inverse_cholesky(lambda J: B[np.ix_(J, J)].copy(), 3).toarray()
+        for jit in JITTER_LADDER[1:]:  # the block's mean diagonal is 1
+            try:
+                c = np.linalg.cholesky(B + jit * np.eye(3))
+                break
+            except np.linalg.LinAlgError:
+                continue
+        np.testing.assert_allclose(G, np.linalg.inv(c), rtol=1e-8)
+
+    def test_full_factor_not_spd_names_the_last_row(self):
+        block = lambda J: -np.eye(len(J))  # noqa: E731
+        with pytest.raises(IllConditionedKernelError, match="FSAI row 4: local block not SPD"):
+            precond_mod._inverse_cholesky(block, 5)
+
+    def test_full_factor_non_finite_names_the_row(self):
+        # an infinite pivot factors, and leaves row 2 of G with a zero diagonal
+        def block(J):
+            B = np.eye(len(J))
+            B[2, 2] = np.inf
+            return B
+
+        with pytest.raises(IllConditionedKernelError, match="FSAI row 2: non-finite row"):
+            precond_mod._inverse_cholesky(block, 4)
 
 
 class TestAfn:
@@ -412,8 +497,6 @@ class TestAfn:
         dict(methods=(4,)), dict(methods=(0,)), dict(methods=(2.5,)), dict(methods=("3",)),
     ])
     def test_bad_arguments_fail_before_the_split(self, bad, monkeypatch):
-        import covfield.precond as precond_mod
-
         def no_work(*args, **kwargs):
             raise AssertionError("kernel work before the arguments were checked")
 
@@ -596,14 +679,36 @@ class TestPcg:
 
     @pytest.mark.parametrize("shape, n", [((3, 4), 4), ((5, 5), 4)])
     def test_dense_operand_shape_checked_up_front(self, shape, n, monkeypatch):
-        import covfield.precond as precond_mod
-
         calls = []
         monkeypatch.setattr(precond_mod, "dsymv", lambda *a, **k: calls.append(1))
         want = re.escape(f"{shape}") + ".*" + re.escape(f"({n},)")
         with pytest.raises(ValueError, match=want):
             pcg(np.ones(shape), np.ones(n))
         assert calls == []
+
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_in_place_updates_same_bits_as_textbook_loop(self, preconditioned):
+        # x += alpha p, r -= alpha A p, p = z + beta p and ||r|| = sqrt(r . r)
+        # written with fresh arrays; the system converges at its first check
+        A, b = kernel_system(200, 3, 54, tau=0.1)
+        M = np.diag(1.0 / np.diag(A)) if preconditioned else np.eye(200)
+        x, iters, hist = pcg(lambda v: A @ v, b, (lambda v: M @ v) if preconditioned else None,
+                             tol_abs=1e-9)
+        xs, r = np.zeros(200), b.copy()
+        z = M @ r
+        p, gamma, norms = z.copy(), r @ z, []
+        while not norms or norms[-1] > 1e-9:
+            Ap = A @ p
+            alpha = gamma / (p @ Ap)
+            xs = xs + alpha * p
+            r = r - alpha * Ap
+            norms.append(float(np.linalg.norm(r)))
+            z = M @ r
+            gamma, beta = r @ z, (r @ z) / gamma
+            p = z + beta * p
+        assert iters == len(norms) > 5
+        np.testing.assert_array_equal(bits(x), bits(xs))
+        np.testing.assert_array_equal(bits(hist[:-1]), bits(norms[:-1]))
 
     def test_residual_history_per_iteration(self):
         A = np.diag(np.arange(1.0, 21.0))
@@ -637,8 +742,6 @@ class TestMethodOrdering:
         assert hist2[-1] >= by[3]["residual"] - 1e-12
 
     def test_schur_complement_lives_through_the_last_solve(self, monkeypatch):
-        import covfield.precond as precond_mod
-
         refs, alive = [], []
 
         class Tracked(SchurComplement):
@@ -666,8 +769,6 @@ class TestMethodOrdering:
         assert again is schur and last.L is first.L and last.W is first.W
 
     def test_one_landmark_factor_for_both_patterns(self, monkeypatch):
-        import covfield.precond as precond_mod
-
         X = generate_gaussian_cloud(200, 2, 30)
         cfg = KernelConfig(sigma=bandwidth_percentile(X, 5), tau=0.004)
         calls = []
@@ -687,13 +788,45 @@ class TestMethodOrdering:
             assert iters == row["iterations"]
             assert float(np.linalg.norm(b - A @ x)) == row["residual"]
 
+    def test_stops_on_the_full_residual(self):
+        # covfield precond --tau 0 --seed 42: the Schur solve meets --tol on
+        # T's block at 88 iterations while ||b - A x|| is 6.6e-5; refinement
+        # on the full residual runs until it meets --tol or --maxit is spent
+        X = generate_gaussian_cloud(1000, 3, 42)
+        cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.0)
+        (m3,) = run_methods(X, cfg, r=200, tol_abs=1e-5, max_iter=1000, seed=43, methods=(3,))
+        assert m3["residual"] <= 1e-5 or m3["iterations"] == 1000
+        assert m3["iterations"] > 88
+
+    def test_refinement_keeps_converged_rows(self, monkeypatch):
+        # where the first Schur solve meets the tolerance on the full residual,
+        # no refinement step runs
+        calls = []
+        orig = precond_mod._schur_solve
+        monkeypatch.setattr(precond_mod, "_schur_solve", lambda *a: calls.append(1) or orig(*a))
+        X = generate_gaussian_cloud(300, 3, 26)
+        cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.004)
+        rows = run_methods(X, cfg, r=60, seed=27, methods=(3,))
+        assert rows[0]["residual"] <= 1e-5 and calls == [1]
+
+    def test_criterion_10_shape_on_a_synthetic_d8_cloud(self):
+        # criterion 10's parameters (r = n/5, tau = 0.004, delta = 2 sigma at the
+        # 2nd percentile, landmark seed 124) on a seeded d = 8 cloud at n = 2000:
+        # the geometric rule takes the full factor, and method 3 converges
+        rng = np.random.default_rng(123)
+        X = standardize(PointSet(rng.standard_normal((2000, 8)) * rng.uniform(0.5, 3.0, 8)))
+        sigma = bandwidth_percentile(X, 2)
+        cfg = KernelConfig(sigma=sigma, tau=0.004)
+        (m3,) = run_methods(X, cfg, r=400, delta=2 * sigma, tol_abs=1e-5, max_iter=1000,
+                            seed=124, methods=(3,))
+        assert m3["fsai_nnz_fraction"] == 1601 / 3200   # the full triangle of n_T = 1600
+        assert m3["iterations"] <= 30 and m3["residual"] <= 1e-5
+
     @pytest.mark.parametrize("pattern", ["geometric", "random"])
     def test_schur_solve_matches_full_space_pcg(self, pattern):
         # M^{-1} A is similar to diag(I, G^T G (R + tau^2 I)): on a
         # well-conditioned cloud both solves meet the tolerance on the full
         # system in the same number of iterations, give or take one
-        import covfield.precond as precond_mod
-
         X = generate_gaussian_cloud(300, 3, 36)
         cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.3)   # cond(A) about 320
         A = kernel_matrix(X, X, cfg) + cfg.tau**2 * np.eye(X.n)
