@@ -143,26 +143,26 @@ def fsai_groups(pattern: list[np.ndarray], cap: int) -> list[tuple[np.ndarray, n
     return groups[::-1]
 
 
-def fsai_build(block_fn, pattern: list[np.ndarray], group_cap: int = 1, *, groups=None) -> sp.csr_matrix:
+def fsai_build(block_fn, pattern: list[np.ndarray], group_cap: int = 1) -> sp.csr_matrix:
     """Factorized sparse approximate inverse on a lower-triangular pattern.
 
     The rows are factored in the groups of ``fsai_groups(pattern,
-    group_cap)`` (or ``groups``, when the caller has already formed them);
-    the default ``group_cap = 1`` factors each row J_i on its own.  For a
-    group (U, pos), B is the symmetric U x U principal block from
-    ``block_fn`` and c its Cholesky factor.  Member k at position p of U gets
-    the row B_k^{-1} e / sqrt(e^T B_k^{-1} e) of the leading block B_k =
-    B[:p+1, :p+1], which is c^{-T} e_p cut to its first p + 1 entries, so a
-    group costs one Cholesky factorization and one triangular solve with one
-    right-hand side per member.  The result satisfies diag(G B_full G^T) = 1
-    row-exactly.  A local jitter ladder (scaled by the block's mean diagonal)
-    handles borderline-SPD blocks; a group that stays non-SPD raises naming
-    its leader row, a non-finite row naming itself.
+    group_cap)``; the default ``group_cap = 1`` factors each row J_i on its
+    own.  For a group (U, pos), B is the symmetric U x U principal block
+    from ``block_fn`` and c its Cholesky factor.  Member k at position p of
+    U gets the row B_k^{-1} e / sqrt(e^T B_k^{-1} e) of the leading block
+    B_k = B[:p+1, :p+1], which is c^{-T} e_p cut to its first p + 1 entries,
+    so a group costs one Cholesky factorization and one triangular solve
+    with one right-hand side per member.  The result satisfies
+    diag(G B_full G^T) = 1 row-exactly.  A local jitter ladder (scaled by
+    the block's mean diagonal) handles borderline-SPD blocks; a group that
+    stays non-SPD raises naming its leader row, a non-finite row naming
+    itself.
     """
     n = len(pattern)
     lengths = np.fromiter(map(len, pattern), dtype=np.int64, count=n)
     _check_pattern(pattern, lengths)
-    groups = fsai_groups(pattern, group_cap) if groups is None else groups
+    groups = fsai_groups(pattern, group_cap)
     for U, pos in groups:
         lengths[U[pos]] = pos + 1
     indptr = np.concatenate(([0], np.cumsum(lengths)))
@@ -388,11 +388,10 @@ def _geometric_factor(schur: SchurComplement, delta: float) -> sp.csr_matrix:
     pattern, which contains every geometric row: an FSAI factor all the
     same, with G B G^T = I in full and not only on the diagonal."""
     pattern = geometric_pattern(schur.T, delta)
-    groups = fsai_groups(pattern, GROUP_CAP)
     nT = len(pattern)
-    if sum(len(U) ** 3 for U, _ in groups) <= 2 * nT**3:
-        return fsai_build(schur.block, pattern, GROUP_CAP, groups=groups)
-    del pattern, groups   # n_T^2 / 2 indices, freed before the factorization
+    if sum(len(U) ** 3 for U, _ in fsai_groups(pattern, GROUP_CAP)) <= 2 * nT**3:
+        return fsai_build(schur.block, pattern, GROUP_CAP)
+    del pattern   # n_T^2 / 2 indices, freed before the factorization
     return _inverse_cholesky(schur.block, nT)
 
 
