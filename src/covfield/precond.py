@@ -122,8 +122,6 @@ def fsai_groups(pattern: list[np.ndarray], cap: int) -> list[tuple[np.ndarray, n
     U[:p+1], which contains J_k.  Groups come in ascending order of their
     leaders; ``cap = 1`` gives one group (J_i, [len(J_i) - 1]) per row.
     """
-    if cap == 1:
-        return [(J, np.array([len(J) - 1])) for J in pattern]
     free = np.ones(len(pattern), dtype=bool)
     union = np.zeros(len(pattern), dtype=bool)   # marks U, cleared after each group
     groups = []
