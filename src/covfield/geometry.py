@@ -195,15 +195,15 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def distance_matrix(X: PointSet, rows: slice = slice(None)) -> np.ndarray:
-    """Euclidean distances from the points ``X[rows]`` to every point of X.
+def distance_matrix(X: PointSet) -> np.ndarray:
+    """Euclidean distances between every pair of points of X.
 
     A pair is within delta exactly when its value here is <= delta: both
     sparsity patterns and the LRSP sweep threshold these values.  They are
-    the roots of ``_sq_dists``, which evaluates each pair on its own, so a
-    row block holds the same bits as the same rows of the whole matrix.
+    the roots of ``_sq_dists``, which evaluates each pair on its own, so the
+    row blocks those users form hold the same bits as the whole matrix.
     """
-    return np.sqrt(_sq_dists(X.coords[rows], X.coords))
+    return np.sqrt(_sq_dists(X.coords, X.coords))
 
 
 def preset_observations(name: str) -> PointSet:

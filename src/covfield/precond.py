@@ -67,12 +67,9 @@ class SchurComplement:
 
     def block(self, J) -> np.ndarray:
         J = np.asarray(J, dtype=int)
-        if len(J) <= ROW_BLOCK:   # a short block gathers only its |J|^2 entries
-            B = self.R.take(J[:, None] * self.T.n + J)
-        else:
-            B = np.empty((len(J), len(J)))
-            for rows in row_blocks(len(J)):   # no |J| x n_T temporary, only |rows| x n_T
-                self.R.take(J[rows], 0).take(J, 1, out=B[rows])
+        # flat indices gather a random row or a small group fastest; a long block
+        # would double its memory with them, and ix_ allocates only the block
+        B = self.R.take(J[:, None] * self.T.n + J) if len(J) <= ROW_BLOCK else self.R[np.ix_(J, J)]
         B.flat[:: len(J) + 1] += self.cfg.tau**2
         return B
 
@@ -393,48 +390,41 @@ def _geometric_factor(schur: SchurComplement, delta: float) -> sp.csr_matrix:
     return _inverse_cholesky(schur.block, nT)
 
 
-def _schur_solve(P: AfnPreconditioner, schur: SchurComplement, b, tol_abs, max_iter):
-    """(x, iterations) for (K_XX + tau^2 I) x = b with the landmark block
-    eliminated exactly: yS = L^{-1} bS, PCG with G^T G on C xT = bT - W^T yS
-    for C = R + tau^2 I, and xS = L^{-T} (yS - W xT).  M^{-1} A is similar to
-    diag(I, G^T G C), so this is ``pcg(A, b, P.apply_inverse)`` with steps
-    that read R's triangle and G twice, not A's triangle and W and G twice
-    each.  Exact when the landmark factor carries no jitter."""
+def _schur_solve(P: AfnPreconditioner, schur: SchurComplement, A, b, tol_abs, max_iter):
+    """(x, iterations, b - A x) for A x = b, A = K_XX + tau^2 I, with the
+    landmark block eliminated, exactly when its factor carries no jitter.
+
+    From x = 0, each pass adds a correction d solved on the full residual r:
+    yS = L^{-1} rS, PCG with G^T G on C dT = rT - W^T yS for C = R + tau^2 I,
+    and dS = L^{-T} (yS - W dT).  As M^{-1} A is similar to diag(I, G^T G C),
+    a pass is ``pcg(A, r, P.apply_inverse)`` with steps that read R's
+    triangle and G twice, not A's triangle and W and G twice each.  PCG
+    stops on T's block, and rounding in dS can leave the full residual above
+    ``tol_abs`` (at tau = 0, where ||x|| reaches 9e9), so passes repeat while
+    it misses and iterations remain.  A pass needing no iteration ends the
+    loop, which would otherwise spin without counting; a first pass needs
+    none only if ||bT - W^T L^{-1} bS|| <= tol_abs, which a seeded unit-norm
+    b does not reach.  As in ``pcg``, x is the iterate with the smallest
+    full residual."""
     S, T = P.perm[: P.r], P.perm[P.r:]
-    yS = _trtrs(P.L.T, b[S], trans=1)
     # R's lower triangle is the upper one of R^T; beta * y adds tau^2 v, R stays noise-free
     RF, tau2 = schur.R.T, schur.cfg.tau**2
-    xT, iters, _ = pcg(lambda v: dsymv(1.0, RF, v, beta=tau2, y=v, lower=0), b[T] - P.W.T @ yS,
-                       lambda v: P.GT @ (P.G @ v), tol_abs=tol_abs, max_iter=max_iter)
-    x = np.empty_like(b)
-    x[S] = _trtrs(P.L.T, yS - P.W @ xT, trans=0)
-    x[T] = xT
-    return x, iters
-
-
-def _refined_schur_solve(P: AfnPreconditioner, schur: SchurComplement, A, b, tol_abs, max_iter):
-    """(x, iterations, b - A x): ``_schur_solve``, then iterative refinement
-    on the full residual while it misses ``tol_abs`` and iterations remain.
-
-    The Schur solve stops on T's block of the residual, and rounding in
-    x_S = L^{-T} (yS - W x_T) can leave the full one above the tolerance
-    (at tau = 0, where ||x|| reaches 9e9).  Each step solves for the
-    correction on the residual and adds its iterations; a step that needed
-    none ends the loop, which would otherwise spin without counting.  As in
-    ``pcg``, x is the iterate with the smallest full residual."""
-    x, iters = _schur_solve(P, schur, b, tol_abs, max_iter)
-    best = res = b - A @ x
-    x_best = x
-    while iters < max_iter and np.linalg.norm(res) > tol_abs:
-        dx, more = _schur_solve(P, schur, res, tol_abs, max_iter - iters)
-        x = x + dx
+    x, res, iters, best_nr = np.zeros_like(b), b, 0, np.inf
+    while True:
+        yS = _trtrs(P.L.T, res[S], trans=1)
+        dT, more, _ = pcg(lambda v: dsymv(1.0, RF, v, beta=tau2, y=v, lower=0),
+                          res[T] - P.W.T @ yS, lambda v: P.GT @ (P.G @ v),
+                          tol_abs=tol_abs, max_iter=max_iter - iters)
+        x = x.copy()   # the best iterate may be x itself
+        x[S] += _trtrs(P.L.T, yS - P.W @ dT, trans=0)
+        x[T] += dT
         iters += more
         res = b - A @ x
-        if np.linalg.norm(res) < np.linalg.norm(best):
-            best, x_best = res, x
-        if more == 0:
-            break
-    return x_best, iters, best
+        nr = np.linalg.norm(res)
+        if nr < best_nr:
+            x_best, best, best_nr = x, res, nr
+        if more == 0 or iters >= max_iter or nr <= tol_abs:
+            return x_best, iters, best
 
 
 def pcg(mat_apply, b, precond_apply=None, tol_abs: float = 1e-5, max_iter: int = 1000):
@@ -546,8 +536,8 @@ def run_methods(
     numerically positive definite.  ``delta`` is the geometric pattern's
     threshold, 2 sigma when None; the methods (each 1, 2 or 3), r and delta
     are checked before any kernel work.  Method 1 is plain CG; methods 2 and 3
-    run ``_schur_solve`` with the random and the geometric FSAI factor, and
-    refine on the full residual until it meets ``tol_abs`` or ``max_iter``
+    run ``_schur_solve`` with the random and the geometric FSAI factor, whose
+    passes go on until the full residual meets ``tol_abs`` or ``max_iter``
     iterations are spent.
     Returns one dict per method with keys
     method/iterations/rel_err/residual/fsai_nnz_fraction.
@@ -582,7 +572,7 @@ def run_methods(
             res, nnz_frac = b - A @ x, float("nan")
         else:
             P, schur = next(builds)
-            x, iters, res = _refined_schur_solve(P, schur, A, b, tol_abs, max_iter)
+            x, iters, res = _schur_solve(P, schur, A, b, tol_abs, max_iter)
             nnz_frac = P.fsai_nnz_fraction
             del P, schur   # the factor is freed before the next is built
         out.append({

@@ -32,6 +32,7 @@ from covfield import (
     standardize,
 )
 import covfield.precond as precond_mod
+from covfield.geometry import ROW_BLOCK
 from covfield.posterior import JITTER_LADDER
 from covfield.precond import GROUP_CAP
 
@@ -69,14 +70,15 @@ class TestSchurComplement:
             assert schur.R[i, j] == pytest.approx(want, abs=1e-12)
 
     def test_one_symmetric_matrix_gathered(self):
-        X = generate_gaussian_cloud(90, 3, 40)
+        X = generate_gaussian_cloud(ROW_BLOCK + 70, 3, 40)
         cfg = KernelConfig(sigma=0.7, tau=0.05)
         S, T = split(X, 25, 41)
         schur = SchurComplement(S, T, cfg)
         np.testing.assert_array_equal(schur.R, schur.R.T)
-        J = np.sort(np.random.default_rng(42).choice(T.n, 20, replace=False))
-        noisy = schur.R[np.ix_(J, J)] + cfg.tau**2 * np.eye(20)
-        np.testing.assert_array_equal(schur.block(J), noisy)
+        for m in (20, ROW_BLOCK + 1):   # the flat-index take, then ix_
+            J = np.sort(np.random.default_rng(42).choice(T.n, m, replace=False))
+            noisy = schur.R[np.ix_(J, J)] + cfg.tau**2 * np.eye(m)
+            np.testing.assert_array_equal(schur.block(J), noisy)
 
     def test_diagonal_nearly_nonnegative(self):
         X = generate_gaussian_cloud(100, 3, 3)
@@ -784,26 +786,59 @@ class TestMethodOrdering:
         for row in rows[1:]:
             pattern = "geometric" if row["method"] == 3 else "random"
             P, schur = next(precond_mod._afn_builds(X, cfg, 40, [pattern], 2 * cfg.sigma, 31))
-            x, iters = precond_mod._schur_solve(P, schur, b, 1e-5, 1000)
+            _, iters, res = precond_mod._schur_solve(P, schur, A, b, 1e-5, 1000)
             assert iters == row["iterations"]
-            assert float(np.linalg.norm(b - A @ x)) == row["residual"]
+            assert float(np.linalg.norm(res)) == row["residual"]
 
     def test_stops_on_the_full_residual(self):
-        # covfield precond --tau 0 --seed 42: the Schur solve meets --tol on
-        # T's block at 88 iterations while ||b - A x|| is 6.6e-5; refinement
-        # on the full residual runs until it meets --tol or --maxit is spent
+        # covfield precond --tau 0 --seed 42: the first pass meets --tol on
+        # T's block at 88 iterations while ||b - A x|| is 6.6e-5; passes on
+        # the full residual run until it meets --tol or --maxit is spent
         X = generate_gaussian_cloud(1000, 3, 42)
         cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.0)
         (m3,) = run_methods(X, cfg, r=200, tol_abs=1e-5, max_iter=1000, seed=43, methods=(3,))
         assert m3["residual"] <= 1e-5 or m3["iterations"] == 1000
         assert m3["iterations"] > 88
 
+    def test_pass_without_iterations_ends_on_the_best_iterate(self, monkeypatch):
+        # --tau 0 --seed 42, whose first pass misses the tolerance on the full
+        # residual; the second pass's PCG reports no iteration, so the loop
+        # stops there and returns the pass with the smaller full residual
+        X = generate_gaussian_cloud(1000, 3, 42)
+        cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.0)
+        P, schur = next(precond_mod._afn_builds(X, cfg, 200, ["geometric"], None, 43))
+        A = kernel_matrix(X, X, cfg)
+        b = np.random.default_rng(45).standard_normal(X.n)
+        b /= np.linalg.norm(b)
+        calls, products = [], []
+        orig = precond_mod.pcg
+
+        def stalled_pcg(op, rhs, *args, **kwargs):
+            calls.append(orig(op, rhs, *args, **kwargs) if not calls
+                         else (np.zeros_like(rhs), 0, np.empty(0)))
+            return calls[-1]
+
+        class Recorded:
+            def __matmul__(self, x):
+                products.append(A @ x)
+                return products[-1]
+
+        monkeypatch.setattr(precond_mod, "pcg", stalled_pcg)
+        x, iters, res = precond_mod._schur_solve(P, schur, Recorded(), b, 1e-5, 1000)
+        assert len(calls) == 2 and len(products) == 2
+        assert iters == calls[0][1]
+        full = [b - Ax for Ax in products]
+        assert np.linalg.norm(full[0]) > 1e-5
+        k = int(np.argmin([np.linalg.norm(r) for r in full]))
+        np.testing.assert_array_equal(res, full[k])
+        np.testing.assert_array_equal(b - A @ x, res)
+
     def test_refinement_keeps_converged_rows(self, monkeypatch):
-        # where the first Schur solve meets the tolerance on the full residual,
-        # no refinement step runs
+        # where the first pass meets the tolerance on the full residual, no
+        # second pass runs
         calls = []
-        orig = precond_mod._schur_solve
-        monkeypatch.setattr(precond_mod, "_schur_solve", lambda *a: calls.append(1) or orig(*a))
+        orig = precond_mod.pcg
+        monkeypatch.setattr(precond_mod, "pcg", lambda *a, **k: calls.append(1) or orig(*a, **k))
         X = generate_gaussian_cloud(300, 3, 26)
         cfg = KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.004)
         rows = run_methods(X, cfg, r=60, seed=27, methods=(3,))
@@ -834,7 +869,8 @@ class TestMethodOrdering:
         b /= np.linalg.norm(b)
         P, schur = next(precond_mod._afn_builds(X, cfg, 60, [pattern], None, 38))
         x_full, it_full, _ = pcg(A, b, P.apply_inverse, tol_abs=1e-8)
-        x_schur, it_schur = precond_mod._schur_solve(P, schur, b, 1e-8, 1000)
+        x_schur, it_schur, res = precond_mod._schur_solve(P, schur, A, b, 1e-8, 1000)
         assert np.linalg.norm(b - A @ x_full) <= 1e-8
-        assert np.linalg.norm(b - A @ x_schur) <= 1e-8
+        assert np.linalg.norm(res) <= 1e-8
+        np.testing.assert_array_equal(res, b - A @ x_schur)
         assert abs(it_full - it_schur) <= 1
