@@ -18,8 +18,8 @@ Patterns: ``geometric_pattern`` keeps pairs within a distance threshold
 (where the field analysis predicts the dominant Schur entries in the
 small-bandwidth regime), and its FSAI factor is built on the aggregated
 pattern of ``fsai_groups``, one factorization per group of up to
-``GROUP_CAP`` nearby rows, or on the full lower triangle where those
-factorizations cost more flops than one of the whole block;
+``GROUP_CAP`` nearby rows, or as one group of all rows (the inverse
+Cholesky factor) where those cost more flops than one of the whole block;
 ``random_pattern`` is the cautionary baseline, factored row by row.
 """
 
@@ -148,41 +148,27 @@ def fsai_build(block_fn, pattern: list[np.ndarray], group_cap: int = 1) -> sp.cs
     U gets the row B_k^{-1} e / sqrt(e^T B_k^{-1} e) of the leading block
     B_k = B[:p+1, :p+1], which is c^{-T} e_p cut to its first p + 1 entries,
     so a group costs one Cholesky factorization and one triangular solve
-    with one right-hand side per member.  The result satisfies
-    diag(G B_full G^T) = 1 row-exactly.  A local jitter ladder (scaled by
-    the block's mean diagonal) handles borderline-SPD blocks; a group that
-    stays non-SPD raises naming its leader row, a non-finite row naming
-    itself.
+    with one right-hand side per member.  A group that serves all n rows
+    (the full lower-triangular pattern in one group) costs one ``dpotrf``
+    and one ``dtrtri`` instead: its rows are those of the inverse Cholesky
+    factor c^{-1}, 2 n^3 / 3 flops in place of n^3 for n unit right-hand
+    sides.  The result satisfies diag(G B_full G^T) = 1 row-exactly.  A
+    local jitter ladder (scaled by the block's mean diagonal) handles
+    borderline-SPD blocks; a group that stays non-SPD raises naming its
+    leader row, a non-finite row naming itself.
     """
-    n = len(pattern)
-    lengths = np.fromiter(map(len, pattern), dtype=np.int64, count=n)
-    _check_pattern(pattern, lengths)
-    groups = fsai_groups(pattern, group_cap)
-    for U, pos in groups:
-        lengths[U[pos]] = pos + 1
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    for U, pos in groups:
-        g = _group_columns(block_fn, U, pos)
-        for col, p in enumerate(pos):
-            k = U[p]
-            row = g[: p + 1, col]
-            if not (row[-1] > 0 and np.isfinite(row).all()):
-                raise IllConditionedKernelError(f"FSAI row {k}: non-finite row")
-            # copied out, so no group's solve buffer outlives its group
-            data[indptr[k]: indptr[k + 1]] = row
-            indices[indptr[k]: indptr[k + 1]] = U[: p + 1]
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    _check_pattern(pattern)
+    return _fsai_factor(block_fn, fsai_groups(pattern, group_cap), len(pattern))
 
 
-def _check_pattern(pattern: list[np.ndarray], lengths: np.ndarray) -> None:
+def _check_pattern(pattern: list[np.ndarray]) -> None:
     """Raise naming the lowest row of ``pattern`` that is not sorted
     lower-triangular with its diagonal: a row must be nonempty, end in its
     own index and strictly increase, which leaves no entry above the
     diagonal.  Its temporaries, a few per pattern entry, die on return."""
     if not len(pattern):
         return
+    lengths = np.fromiter(map(len, pattern), dtype=np.int64, count=len(pattern))
     flat, row = np.concatenate(pattern), np.repeat(np.arange(len(pattern)), lengths)
     last = np.cumsum(lengths)[lengths > 0] - 1         # each nonempty row's last entry
     down = np.flatnonzero(np.diff(flat) <= 0) + 1      # entries not above the one before
@@ -192,36 +178,40 @@ def _check_pattern(pattern: list[np.ndarray], lengths: np.ndarray) -> None:
         raise ValueError(f"pattern row {bad.min()} is not sorted lower-triangular with diagonal")
 
 
-def _inverse_cholesky(block_fn, n: int) -> sp.csr_matrix:
-    """The FSAI factor on the full lower-triangular pattern of n rows: G =
-    c^{-1} for the jittered Cholesky factor c of the whole block
-    ``block_fn(arange(n))``, so G B G^T = I.
-
-    This is ``fsai_build`` on that pattern with one group of n rows, for one
-    Cholesky factorization and one triangular inverse (2 n^3 / 3 flops) in
-    place of a solve with n unit right-hand sides (n^3 flops).  The block is
-    factored as u^T u (u upper) on its Fortran view, so c^{-1} = u^{-T}
-    comes out row by row in the lower triangle of the C-ordered block and is
-    copied straight into the CSR arrays.  Memory: the block, and 12 bytes
-    per entry of the triangle; errors as in ``fsai_build``.
-    """
-    u = _jittered_cholesky(block_fn, np.arange(n), lower=0)
-    u, _ = dtrtri(u, lower=0, overwrite_c=1)   # cannot fail: potrf left a positive diagonal
-    lower = np.tri(n, dtype=bool)
-    data = u.T[lower]
-    del u   # the block, before the index array is formed
-    indptr = np.cumsum(np.arange(n + 1))
-    ok = np.logical_and.reduceat(np.isfinite(data), indptr[:-1]) & (data[indptr[1:] - 1] > 0)
-    if not ok.all():
-        raise IllConditionedKernelError(f"FSAI row {np.argmin(ok)}: non-finite row")
-    indices = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[lower]
+def _fsai_factor(block_fn, groups: list[tuple[np.ndarray, np.ndarray]], n: int) -> sp.csr_matrix:
+    """The FSAI factor of n rows from ``groups`` that partition them, as
+    ``fsai_groups`` forms them (see ``fsai_build``).  The column indices
+    are formed after the last group's columns are freed, so a group of all
+    n rows peaks at its block plus the values, 12 n^2 bytes."""
+    lengths = np.empty(n, dtype=np.int64)
+    for U, pos in groups:
+        lengths[U[pos]] = pos + 1
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    data = np.empty(indptr[-1])
+    for U, pos in groups:
+        g = _group_columns(block_fn, U, pos, n)
+        for col, p in enumerate(pos):
+            k = U[p]
+            row = g[: p + 1, col]
+            if not (row[-1] > 0 and np.isfinite(row).all()):
+                raise IllConditionedKernelError(f"FSAI row {k}: non-finite row")
+            data[indptr[k]: indptr[k + 1]] = row
+        del g, row
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for U, pos in groups:
+        for p in pos:
+            indices[indptr[U[p]]: indptr[U[p] + 1]] = U[: p + 1]
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _group_columns(block_fn, U: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def _group_columns(block_fn, U: np.ndarray, pos: np.ndarray, n: int) -> np.ndarray:
     """The columns c^{-T} e_p, p in ``pos``, for the jittered Cholesky factor
     c of the block U x U; the factor is freed on return, before the next
-    group's block is gathered."""
+    group's block is gathered.  A group of all n rows, U = pos = arange(n),
+    has the columns u^{-1} for the factor u^T u = B, inverted in place."""
+    if len(pos) == n:
+        u = _jittered_cholesky(block_fn, U, lower=0)
+        return dtrtri(u, lower=0, overwrite_c=1)[0]   # cannot fail: potrf left a positive diagonal
     c = _jittered_cholesky(block_fn, U, lower=1)
     E = np.zeros((len(U), len(pos)), order="F")
     E[pos, np.arange(len(pos))] = 1.0
@@ -376,18 +366,20 @@ def _geometric_factor(schur: SchurComplement, delta: float) -> sp.csr_matrix:
     """The FSAI factor of the geometric pattern, grouped, or the inverse
     Cholesky factor of the whole block where that costs fewer flops.
 
-    The groups' Cholesky factorizations cost sum |U|^3 / 3 flops, the whole
-    block's factorization and triangular inverse 2 n_T^3 / 3.  Where the
-    groups cost more (as on the d = 8 cloud, where a row of the pattern
-    covers most of its prefix), G is built on the full lower-triangular
-    pattern, which contains every geometric row: an FSAI factor all the
-    same, with G B G^T = I in full and not only on the diagonal."""
-    pattern = geometric_pattern(schur.T, delta)
-    nT = len(pattern)
-    if sum(len(U) ** 3 for U, _ in fsai_groups(pattern, GROUP_CAP)) <= 2 * nT**3:
-        return fsai_build(schur.block, pattern, GROUP_CAP)
-    del pattern   # n_T^2 / 2 indices, freed before the factorization
-    return _inverse_cholesky(schur.block, nT)
+    The pattern and its ``fsai_groups`` are formed once.  The groups'
+    Cholesky factorizations cost sum |U|^3 / 3 flops, the whole block's
+    factorization and triangular inverse 2 n_T^3 / 3.  Where the groups cost
+    more (as on the d = 8 cloud, where a row of the pattern covers most of
+    its prefix), they give way to one group of all n_T rows: the FSAI
+    factor of the full lower-triangular pattern, which contains every
+    geometric row, with G B G^T = I in full and not only on the diagonal.
+    The pattern comes from T, so it is not checked as ``fsai_build``'s
+    input is."""
+    nT = schur.T.n
+    groups = fsai_groups(geometric_pattern(schur.T, delta), GROUP_CAP)
+    if sum(len(U) ** 3 for U, _ in groups) > 2 * nT**3:
+        groups = [(np.arange(nT), np.arange(nT))]
+    return _fsai_factor(schur.block, groups, nT)
 
 
 def _schur_solve(P: AfnPreconditioner, schur: SchurComplement, A, b, tol_abs, max_iter):

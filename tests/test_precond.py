@@ -312,6 +312,11 @@ def precond_shape(d, seed):
     return X, KernelConfig(sigma=bandwidth_percentile(X, 2), tau=0.004)
 
 
+def full_factor(block_fn, n):
+    """The FSAI factor on the full lower-triangular pattern of n rows, in one group."""
+    return fsai_build(block_fn, [np.arange(i + 1) for i in range(n)], n)
+
+
 class TestGeometricFactor:
     @pytest.mark.parametrize("d", [3, 8])
     def test_rule_keeps_groups_at_d3_and_takes_full_factor_at_d8(self, d):
@@ -334,13 +339,13 @@ class TestGeometricFactor:
         X, cfg = precond_shape(8, 42)
         S, T = split(X, 200, 43)
         schur = SchurComplement(S, T, cfg)
-        G = precond_mod._inverse_cholesky(schur.block, T.n)
+        # one group of n_T rows: the same factorization, and its triangular inverse
+        G = full_factor(schur.block, T.n)
         assert G.format == "csr" and G.has_sorted_indices
-        # one group of n_T rows: the same factorization, n_T unit right-hand sides
-        want = fsai_build(schur.block, [np.arange(i + 1) for i in range(T.n)], T.n)
+        want = precond_mod._geometric_factor(schur, 2 * cfg.sigma)
         np.testing.assert_array_equal(G.indptr, want.indptr)
         np.testing.assert_array_equal(G.indices, want.indices)
-        assert np.linalg.norm(G.data - want.data) <= 1e-12 * np.linalg.norm(want.data)
+        np.testing.assert_array_equal(bits(G.data), bits(want.data))
         # the inverse Cholesky factor: G B G^T = I to rounding
         G = G.toarray()
         B = schur.block(np.arange(T.n))
@@ -350,7 +355,7 @@ class TestGeometricFactor:
         # the rank-one block fails the plain factorization; the first jitter
         # step that factors gives the inverse factor of the jittered block
         B = np.ones((3, 3))
-        G = precond_mod._inverse_cholesky(lambda J: B[np.ix_(J, J)].copy(), 3).toarray()
+        G = full_factor(lambda J: B[np.ix_(J, J)].copy(), 3).toarray()
         for jit in JITTER_LADDER[1:]:  # the block's mean diagonal is 1
             try:
                 c = np.linalg.cholesky(B + jit * np.eye(3))
@@ -362,7 +367,7 @@ class TestGeometricFactor:
     def test_full_factor_not_spd_names_the_last_row(self):
         block = lambda J: -np.eye(len(J))  # noqa: E731
         with pytest.raises(IllConditionedKernelError, match="FSAI row 4: local block not SPD"):
-            precond_mod._inverse_cholesky(block, 5)
+            full_factor(block, 5)
 
     def test_full_factor_non_finite_names_the_row(self):
         # an infinite pivot factors, and leaves row 2 of G with a zero diagonal
@@ -372,7 +377,35 @@ class TestGeometricFactor:
             return B
 
         with pytest.raises(IllConditionedKernelError, match="FSAI row 2: non-finite row"):
-            precond_mod._inverse_cholesky(block, 4)
+            full_factor(block, 4)
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_one_pattern_and_one_grouping(self, d, monkeypatch):
+        X, cfg = precond_shape(d, 42)
+        schur = SchurComplement(*split(X, 200, 43), cfg)
+        calls = {"geometric_pattern": 0, "fsai_groups": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(precond_mod, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(precond_mod, name, counted)
+        precond_mod._geometric_factor(schur, 2 * cfg.sigma)
+        assert calls == {"geometric_pattern": 1, "fsai_groups": 1}
+
+    def test_full_factor_peak_memory(self):
+        # the block, then the values of its lower triangle: 12 n_T^2 bytes,
+        # with the column indices formed only after the block is freed
+        X, cfg = precond_shape(8, 42)
+        schur = SchurComplement(*split(X, 200, 43), cfg)
+        nT = schur.T.n
+        tracemalloc.start()
+        try:
+            G = precond_mod._geometric_factor(schur, 2 * cfg.sigma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.nnz == nT * (nT + 1) // 2
+        assert peak <= 12.5 * nT**2
 
 
 class TestAfn:
