@@ -58,7 +58,6 @@ from .precond import (
     AfnPreconditioner,
     SchurComplement,
     afn_build,
-    fsai_build,
     fsai_groups,
     geometric_pattern,
     pcg,

@@ -206,9 +206,9 @@ def _cmd_svd(args):
 
 
 def _parse_sweep(text: str, name: str, max_len: int) -> list[float]:
-    """The values of a ``lo:hi:step`` sweep, bit for bit those of numpy's
-    ``arange(lo, hi + 1e-9, step)``; their count is checked to lie in
-    [1, ``max_len``] before any value is built."""
+    """The values of a ``lo:hi:step`` sweep, numpy's ``arange(lo, hi +
+    1e-9, step)``; their count is checked to lie in [1, ``max_len``] before
+    the array is built."""
     try:
         lo, hi, step = (float(t) for t in text.split(":"))
     except ValueError:
@@ -219,8 +219,7 @@ def _parse_sweep(text: str, name: str, max_len: int) -> list[float]:
     count = math.ceil((hi + 1e-9 - lo) / step)
     if not 1 <= count <= max_len:
         raise CovfieldError(f"{name}: {count} values, need 1 to {max_len}")
-    inc = (lo + step) - lo   # arange's i-th value is lo + i * inc
-    return [lo + i * inc for i in range(count)]
+    return np.arange(lo, hi + 1e-9, step).tolist()
 
 
 def _cmd_lrsp(args):

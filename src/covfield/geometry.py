@@ -226,21 +226,23 @@ def generate_gaussian_cloud(n: int, d: int, seed: int) -> PointSet:
 def load_csv(path) -> PointSet:
     """Read one point per line, comma-separated floats.
 
-    A single non-numeric first row is treated as a header and skipped.  Rows
-    of differing arity raise :class:`FormatError`.
+    Blank lines are skipped, and a non-numeric first non-blank line is
+    treated as a header and skipped too.  Any other non-numeric line and
+    rows of differing arity raise :class:`FormatError`.
     """
     rows = []
-    arity = None
+    arity = first = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            first = first or lineno
             cells = line.split(",")
             try:
                 vals = [float(c) for c in cells]
             except ValueError:
-                if lineno == 1:
+                if lineno == first:
                     continue  # header
                 raise FormatError(f"{path}: non-numeric value on line {lineno}") from None
             if arity is None:

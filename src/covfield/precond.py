@@ -20,7 +20,9 @@ small-bandwidth regime), and its FSAI factor is built on the aggregated
 pattern of ``fsai_groups``, one factorization per group of up to
 ``GROUP_CAP`` nearby rows, or as one group of all rows (the inverse
 Cholesky factor) where those cost more flops than one of the whole block;
-``random_pattern`` is the cautionary baseline, factored row by row.
+``random_pattern`` is the cautionary baseline, factored row by row in
+one-member groups.  Both patterns are drawn here, sorted lower-triangular
+with their diagonal, and go through ``fsai_groups`` to the one group loop.
 """
 
 from __future__ import annotations
@@ -138,51 +140,25 @@ def fsai_groups(pattern: list[np.ndarray], cap: int) -> list[tuple[np.ndarray, n
     return groups[::-1]
 
 
-def fsai_build(block_fn, pattern: list[np.ndarray], group_cap: int = 1) -> sp.csr_matrix:
-    """Factorized sparse approximate inverse on a lower-triangular pattern.
-
-    The rows are factored in the groups of ``fsai_groups(pattern,
-    group_cap)``; the default ``group_cap = 1`` factors each row J_i on its
-    own.  For a group (U, pos), B is the symmetric U x U principal block
-    from ``block_fn`` and c its Cholesky factor.  Member k at position p of
-    U gets the row B_k^{-1} e / sqrt(e^T B_k^{-1} e) of the leading block
-    B_k = B[:p+1, :p+1], which is c^{-T} e_p cut to its first p + 1 entries,
-    so a group costs one Cholesky factorization and one triangular solve
-    with one right-hand side per member.  A group that serves all n rows
-    (the full lower-triangular pattern in one group) costs one ``dpotrf``
-    and one ``dtrtri`` instead: its rows are those of the inverse Cholesky
-    factor c^{-1}, 2 n^3 / 3 flops in place of n^3 for n unit right-hand
-    sides.  The result satisfies diag(G B_full G^T) = 1 row-exactly.  A
-    local jitter ladder (scaled by the block's mean diagonal) handles
-    borderline-SPD blocks; a group that stays non-SPD raises naming its
-    leader row, a non-finite row naming itself.
-    """
-    _check_pattern(pattern)
-    return _fsai_factor(block_fn, fsai_groups(pattern, group_cap), len(pattern))
-
-
-def _check_pattern(pattern: list[np.ndarray]) -> None:
-    """Raise naming the lowest row of ``pattern`` that is not sorted
-    lower-triangular with its diagonal: a row must be nonempty, end in its
-    own index and strictly increase, which leaves no entry above the
-    diagonal.  Its temporaries, a few per pattern entry, die on return."""
-    if not len(pattern):
-        return
-    lengths = np.fromiter(map(len, pattern), dtype=np.int64, count=len(pattern))
-    flat, row = np.concatenate(pattern), np.repeat(np.arange(len(pattern)), lengths)
-    last = np.cumsum(lengths)[lengths > 0] - 1         # each nonempty row's last entry
-    down = np.flatnonzero(np.diff(flat) <= 0) + 1      # entries not above the one before
-    bad = np.concatenate([np.flatnonzero(lengths == 0), row[last][flat[last] != row[last]],
-                          row[down][row[down - 1] == row[down]]])
-    if bad.size:
-        raise ValueError(f"pattern row {bad.min()} is not sorted lower-triangular with diagonal")
-
-
 def _fsai_factor(block_fn, groups: list[tuple[np.ndarray, np.ndarray]], n: int) -> sp.csr_matrix:
-    """The FSAI factor of n rows from ``groups`` that partition them, as
-    ``fsai_groups`` forms them (see ``fsai_build``).  The column indices
-    are formed after the last group's columns are freed, so a group of all
-    n rows peaks at its block plus the values, 12 n^2 bytes."""
+    """Factorized sparse approximate inverse of n rows from ``groups`` that
+    partition them, as ``fsai_groups`` forms them.
+
+    For a group (U, pos), B is the symmetric U x U principal block from
+    ``block_fn`` and c its Cholesky factor.  Member k at position p of U
+    gets the row B_k^{-1} e / sqrt(e^T B_k^{-1} e) of the leading block
+    B_k = B[:p+1, :p+1], which is c^{-T} e_p cut to its first p + 1
+    entries, so a group costs one Cholesky factorization and one triangular
+    solve with one right-hand side per member.  A group that serves all n
+    rows costs one ``dpotrf`` and one ``dtrtri`` instead: its rows are those
+    of the inverse Cholesky factor c^{-1}, 2 n^3 / 3 flops in place of n^3
+    for n unit right-hand sides.  The result satisfies diag(G B_full G^T) =
+    1 row-exactly.  A local jitter ladder (scaled by the block's mean
+    diagonal) handles borderline-SPD blocks; a group that stays non-SPD
+    raises naming its leader row, a non-finite row naming itself.  The
+    column indices are formed after the last group's columns are freed, so
+    a group of all n rows peaks at its block plus the values, 12 n^2
+    bytes."""
     lengths = np.empty(n, dtype=np.int64)
     for U, pos in groups:
         lengths[U[pos]] = pos + 1
@@ -352,11 +328,12 @@ def _afn_builds(X: PointSet, cfg: KernelConfig, r: int, patterns, delta, seed: i
     def builds():
         perm = np.random.default_rng(seed).permutation(X.n)
         schur = SchurComplement(PointSet(X.coords[perm[:r]]), PointSet(X.coords[perm[r:]]), cfg)
+        nT = schur.T.n
         for name in patterns:
             # each pattern is a temporary of its draw, freed once its FSAI factor
-            # is built
+            # is built; the random one is factored in one-member groups, row by row
             G = (_geometric_factor(schur, delta) if name == "geometric"
-                 else fsai_build(schur.block, random_pattern(schur.T.n, seed + 1)))
+                 else _fsai_factor(schur.block, fsai_groups(random_pattern(nT, seed + 1), 1), nT))
             yield AfnPreconditioner(perm, schur.L, schur.W, G, schur.jitter_used), schur
             del G   # the factor dies with its draw, before the next is built
     return builds()
@@ -372,9 +349,7 @@ def _geometric_factor(schur: SchurComplement, delta: float) -> sp.csr_matrix:
     more (as on the d = 8 cloud, where a row of the pattern covers most of
     its prefix), they give way to one group of all n_T rows: the FSAI
     factor of the full lower-triangular pattern, which contains every
-    geometric row, with G B G^T = I in full and not only on the diagonal.
-    The pattern comes from T, so it is not checked as ``fsai_build``'s
-    input is."""
+    geometric row, with G B G^T = I in full and not only on the diagonal."""
     nT = schur.T.n
     groups = fsai_groups(geometric_pattern(schur.T, delta), GROUP_CAP)
     if sum(len(U) ** 3 for U, _ in groups) > 2 * nT**3:

@@ -455,8 +455,19 @@ class TestLrspCommand:
         def never(*args, **kwargs):
             raise AssertionError("reached past the flag checks")
 
+        # a sweep is built only once its count passed the check: at most n = 1000
+        # ranks or n(n-1)/2 + 1 radii (the default rank sweep, 15 values, is
+        # built before the radii are read)
+        limit = 1000 if flag == "--rank-sweep" else 1000 * 999 // 2 + 1
+        arange = np.arange
+
+        def checked_arange(start, stop, step):
+            if not math.ceil((stop - start) / step) <= limit:
+                raise AssertionError("a sweep was built before its count check")
+            return arange(start, stop, step)
+
         monkeypatch.setattr(lrsp_mod, "nystrom_build", never)
-        monkeypatch.setattr(np, "arange", never)   # no sweep is built either
+        monkeypatch.setattr(np, "arange", checked_arange)
         out = tmp_path / "l.csv"
         assert run(["lrsp", f"{flag}={value}", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag}")

@@ -150,6 +150,20 @@ class TestCsvAndStandardize:
         X = load_csv(path)
         np.testing.assert_array_equal(X.coords, [[1.5, 2.5], [3.5, 4.5]])
 
+    def test_header_after_blank_lines(self, tmp_path):
+        # blank lines are skipped, so the first non-blank line may be the header
+        path = tmp_path / "pts.csv"
+        path.write_text("\n  \nx0,x1\n1,2\n\n3,4\n")
+        X = load_csv(path)
+        np.testing.assert_array_equal(X.coords, [[1.0, 2.0], [3.0, 4.0]])
+        # only that line: a second non-numeric line is named
+        path.write_text("\nx0,x1\ny0,y1\n1,2\n")
+        with pytest.raises(FormatError, match="non-numeric value on line 3"):
+            load_csv(path)
+        path.write_text("\nx0,x1\n1,2\n3,oops\n")
+        with pytest.raises(FormatError, match="non-numeric value on line 4"):
+            load_csv(path)
+
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,4,5\n")

@@ -21,7 +21,6 @@ from covfield import (
     afn_build,
     bandwidth_percentile,
     fit,
-    fsai_build,
     fsai_groups,
     generate_gaussian_cloud,
     geometric_pattern,
@@ -44,6 +43,13 @@ def split(X, r, seed):
 
 def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
+
+
+def fsai_factor(block_fn, rows, cap=1):
+    """The FSAI factor on the lower-triangular pattern ``rows``, factored in
+    its ``fsai_groups`` of up to ``cap`` rows by the group loop both of
+    covfield's factors run."""
+    return precond_mod._fsai_factor(block_fn, fsai_groups(rows, cap), len(rows))
 
 
 def kernel_system(n, d, seed, tau=0.004):
@@ -138,18 +144,22 @@ class TestPatterns:
                 assert np.array_equal(J, np.flatnonzero(D[i, : i + 1] <= delta))
 
     def test_random_rows_capped(self):
-        rows = random_pattern(200, seed=0)
-        cap = int(0.1 * 200)
-        for i, J in enumerate(rows):
-            assert len(J) == min(i, cap) + 1
-            assert J[-1] == i
+        # n_T = 800 at seed 44 is the pattern `covfield precond --seed 42` draws;
+        # it goes to the group loop unchecked
+        for nT, seed in [(200, 0), (800, 44)]:
+            rows = random_pattern(nT, seed=seed)
+            cap = int(0.1 * nT)
+            for i, J in enumerate(rows):
+                assert len(J) == min(i, cap) + 1
+                assert J[-1] == i
+                assert np.all(np.diff(J) > 0)
 
 
 class TestFsai:
     def test_diagonal_case(self):
         diag = np.array([4.0, 9.0, 16.0])
         block = lambda J: np.diag(diag[J])  # noqa: E731
-        G = fsai_build(block, [np.array([i]) for i in range(3)]).toarray()
+        G = fsai_factor(block, [np.array([i]) for i in range(3)]).toarray()
         np.testing.assert_allclose(G, np.diag(1.0 / np.sqrt(diag)))
 
     def test_full_pattern_is_dense_inverse(self):
@@ -159,7 +169,7 @@ class TestFsai:
         schur = SchurComplement(S, T, cfg)
         R = schur.block(np.arange(T.n))
         rows = [np.arange(i + 1) for i in range(40)]
-        G = fsai_build(schur.block, rows).toarray()
+        G = fsai_factor(schur.block, rows).toarray()
         np.testing.assert_allclose(G.T @ G, np.linalg.inv(R), atol=1e-8)
 
     def test_unit_diagonal_of_preconditioned_block(self):
@@ -170,7 +180,7 @@ class TestFsai:
         rows = geometric_pattern(T, 2 * cfg.sigma)
         R = schur.block(np.arange(T.n))
         for cap in (1, 5, GROUP_CAP):
-            G = fsai_build(schur.block, rows, cap)
+            G = fsai_factor(schur.block, rows, cap)
             diag = (G @ R @ G.T).diagonal()
             np.testing.assert_allclose(diag, 1.0, atol=1e-10)
             # every grouped row keeps its geometric row; one-member groups keep it exactly
@@ -190,7 +200,7 @@ class TestFsai:
         rows = [np.sort(np.append(rng.choice(i, min(i, rng.integers(0, 30)), replace=False), i))
                 for i in range(n)]
         for cap in (1, 8, GROUP_CAP):
-            G = fsai_build(lambda J: A[np.ix_(J, J)], rows, cap)
+            G = fsai_factor(lambda J: A[np.ix_(J, J)], rows, cap)
             for i, J in enumerate(rows):
                 Ji = G[i].indices
                 assert np.isin(J, Ji).all() and Ji[-1] == i and np.all(np.diff(Ji) > 0)
@@ -210,7 +220,7 @@ class TestFsai:
         rows = random_pattern(T.n, 55)
         assert all(np.array_equal(U, J) and list(pos) == [len(J) - 1]
                    for (U, pos), J in zip(fsai_groups(rows, 1), rows))
-        G = fsai_build(schur.block, rows)
+        G = fsai_factor(schur.block, rows)
         for i, J in enumerate(rows):
             c = cholesky(schur.block(J).T, lower=True, overwrite_a=True, check_finite=False)
             e = np.zeros(len(J))
@@ -254,7 +264,7 @@ class TestFsai:
         # the rank-one block fails the plain factorization; the first jitter
         # step that factors gives the row of the jittered block
         B = np.ones((3, 3))
-        G = fsai_build(lambda J: B[np.ix_(J, J)].copy(), [np.array([0]), np.array([0, 1])])
+        G = fsai_factor(lambda J: B[np.ix_(J, J)].copy(), [np.array([0]), np.array([0, 1])])
         for jit in JITTER_LADDER[1:]:  # the block's mean diagonal is 1
             try:
                 c = np.linalg.cholesky(B[:2, :2] + jit * np.eye(2))
@@ -274,7 +284,7 @@ class TestFsai:
 
         rows = [np.arange(i + 1) for i in range(4)]
         with pytest.raises(IllConditionedKernelError, match="FSAI row 2"):
-            fsai_build(block, rows)
+            fsai_factor(block, rows)
 
     @pytest.mark.parametrize("cap, named", [(1, 2), (2, 3)])
     def test_non_spd_group_names_its_leader(self, cap, named):
@@ -283,24 +293,7 @@ class TestFsai:
         block = lambda J: -np.eye(len(J)) if 2 in J else np.eye(len(J))  # noqa: E731
         rows = [np.arange(i + 1) for i in range(6)]
         with pytest.raises(IllConditionedKernelError, match=f"FSAI row {named}:"):
-            fsai_build(block, rows, cap)
-
-    def test_bad_pattern_rejected(self):
-        # the lowest bad row is named, however many rows are bad
-        block = lambda J: np.eye(len(J))  # noqa: E731
-        for rows, named in [
-            ([[0], [0]], 1),                               # missing diagonal
-            ([[0], [0, 1], [], [0]], 2),                   # an empty row, then a missing diagonal
-            ([[], [0, 1]], 0),                             # the first row empty
-            ([[0], [0, 1], []], 2),                        # the last row empty
-            ([[0], [0, 1, 3], [0, 1, 2], [4, 3]], 1),      # entries above the diagonal
-            ([[0], [2], [0, 2]], 1),                       # one entry, above the diagonal
-            ([[0], [0, 1], [1, 0, 2], [2, 1, 3]], 2),      # unsorted
-            ([[0], [0, 1], [0, 0, 2], [1, 1, 3]], 2),      # duplicate entries
-        ]:
-            pattern = [np.array(J, dtype=int) for J in rows]
-            with pytest.raises(ValueError, match=f"pattern row {named} is not sorted lower-triangular"):
-                fsai_build(block, pattern)
+            fsai_factor(block, rows, cap)
 
 
 def precond_shape(d, seed):
@@ -314,7 +307,7 @@ def precond_shape(d, seed):
 
 def full_factor(block_fn, n):
     """The FSAI factor on the full lower-triangular pattern of n rows, in one group."""
-    return fsai_build(block_fn, [np.arange(i + 1) for i in range(n)], n)
+    return precond_mod._fsai_factor(block_fn, [(np.arange(n), np.arange(n))], n)
 
 
 class TestGeometricFactor:
@@ -327,7 +320,7 @@ class TestGeometricFactor:
             P, schur = next(precond_mod._afn_builds(X, cfg, 200, ["geometric"], None, seed + 1))
             nT = schur.T.n
             if d == 3:
-                want = fsai_build(schur.block, geometric_pattern(schur.T, 2 * cfg.sigma), GROUP_CAP)
+                want = fsai_factor(schur.block, geometric_pattern(schur.T, 2 * cfg.sigma), GROUP_CAP)
                 np.testing.assert_array_equal(P.G.indptr, want.indptr)
                 np.testing.assert_array_equal(P.G.indices, want.indices)
                 np.testing.assert_array_equal(bits(P.G.data), bits(want.data))
@@ -339,7 +332,10 @@ class TestGeometricFactor:
         X, cfg = precond_shape(8, 42)
         S, T = split(X, 200, 43)
         schur = SchurComplement(S, T, cfg)
-        # one group of n_T rows: the same factorization, and its triangular inverse
+        # the full pattern in groups of up to n_T rows is one group of n_T rows:
+        # the same factorization, and its triangular inverse
+        [(U, pos)] = fsai_groups([np.arange(i + 1) for i in range(T.n)], T.n)
+        assert np.array_equal(U, np.arange(T.n)) and np.array_equal(pos, np.arange(T.n))
         G = full_factor(schur.block, T.n)
         assert G.format == "csr" and G.has_sorted_indices
         want = precond_mod._geometric_factor(schur, 2 * cfg.sigma)
@@ -458,7 +454,7 @@ class TestAfn:
         P = afn_build(X, cfg, r=40, delta=2 * cfg.sigma, seed=59)
         S, T = split(X, 40, 59)
         schur = SchurComplement(S, T, cfg)
-        want = fsai_build(schur.block, geometric_pattern(T, 2 * cfg.sigma), GROUP_CAP)
+        want = fsai_factor(schur.block, geometric_pattern(T, 2 * cfg.sigma), GROUP_CAP)
         np.testing.assert_array_equal(P.G.indptr, want.indptr)
         np.testing.assert_array_equal(P.G.indices, want.indices)
         np.testing.assert_array_equal(bits(P.G.data), bits(want.data))
